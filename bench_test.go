@@ -53,22 +53,18 @@ func BenchmarkE10Ablations(b *testing.B)            { benchExperiment(b, "E10") 
 // default 8x8 setup: interval integration, invariant checks, power
 // control and test scheduling, with the system built once outside the
 // timed region. This is the allocation-gated hot path (0 allocs/op);
-// the whole-run shape lives in BenchmarkSystemRun. The serial sub-bench
-// is the historical path; shards=1 prices the shard bookkeeping with a
-// degenerate plan and shards=4 the barrier fan-out — the three produce
-// byte-identical simulations (shard_diff_test.go), so their ratio is
-// pure overhead/speedup.
+// the whole-run shape lives in BenchmarkSystemRun. The sub-benchmark
+// keeps its historical name "serial" so committed baseline rows still
+// match.
 func BenchmarkSystemEpoch(b *testing.B) {
-	bench := func(b *testing.B, shards int) {
+	b.Run("serial", func(b *testing.B) {
 		cfg := core.DefaultConfig()
 		cfg.TraceEvery = 0                // retained trace rows are not epoch work
 		cfg.SchedOptions.MaxTestTempK = 1 // launches allocate executions by design
-		cfg.Shards = shards
 		sys, err := core.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer sys.Close()
 		for i := 0; i < 8; i++ {
 			if err := sys.StepEpoch(); err != nil {
 				b.Fatal(err)
@@ -82,10 +78,7 @@ func BenchmarkSystemEpoch(b *testing.B) {
 			}
 		}
 		b.ReportMetric(cfg.Epoch.Seconds()*1e3*float64(b.N)/b.Elapsed().Seconds(), "sim-ms/s")
-	}
-	b.Run("serial", func(b *testing.B) { bench(b, 0) })
-	b.Run("shards=1", func(b *testing.B) { bench(b, 1) })
-	b.Run("shards=4", func(b *testing.B) { bench(b, 4) })
+	})
 }
 
 // BenchmarkSystemRun measures the full simulation rate — assembly,
@@ -109,16 +102,15 @@ func BenchmarkSystemRun(b *testing.B) {
 }
 
 // BenchmarkSystemRun32 is the large-mesh whole-run shape: a 1024-core
-// (32x32) mesh over 50 ms of simulated time with the epoch integrators
-// sharded across NumCPU workers — the configuration the <1s wall-clock
-// acceptance test (core.TestLargeMeshRunUnderOneSecond) locks in.
+// (32x32) mesh over 50 ms of simulated time on the serial epoch loop —
+// the configuration the <1s wall-clock acceptance test
+// (core.TestLargeMeshRunUnderOneSecond) locks in.
 func BenchmarkSystemRun32(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultConfig()
 		cfg.Width, cfg.Height = 32, 32
 		cfg.Horizon = 50 * sim.Millisecond
-		cfg.Shards = runtime.NumCPU()
 		sys, err := core.New(cfg)
 		if err != nil {
 			b.Fatal(err)

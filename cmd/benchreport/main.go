@@ -39,7 +39,7 @@ func main() {
 			// absolutely instead: allocs/op via -max-allocs and ingest
 			// speedup over the CSV path via -min-speedup (a same-capture
 			// ratio, which cancels machine-level noise).
-			"BenchmarkSystemEpoch/serial,BenchmarkSystemEpoch/shards=1,BenchmarkSystemEpoch/shards=4,"+
+			"BenchmarkSystemEpoch/serial,"+
 				"BenchmarkNoCStep,BenchmarkThermalStep/cores=1024,BenchmarkSystemRun32,"+
 				"BenchmarkResultsQuery",
 			"comma-separated benchmarks gated by -check")

@@ -75,12 +75,8 @@ func run(args []string) error {
 	seeds := fs.Int("seeds", 2, "replications per point (sweep mode)")
 	csvPath := fs.String("csv", "", "write the frontier (or sweep) as CSV")
 	storeDir := fs.String("store", "", "campaign mode: write per-stage columnar result stores under this root (query with cmd/results)")
-	shards := fs.Int("shards", 0, "epoch-integrator shards per simulation (0 = serial; results are identical at any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0")
 	}
 	if *campaign != "" {
 		return runCampaign(campaignOptions{
@@ -88,7 +84,6 @@ func run(args []string) error {
 			dir:              *dir,
 			resume:           *resume,
 			workers:          *workers,
-			shards:           *shards,
 			csvPath:          *csvPath,
 			storeDir:         *storeDir,
 			quarantineReport: *quarantineReport,
@@ -102,7 +97,7 @@ func run(args []string) error {
 	if *resume {
 		return fmt.Errorf("-resume needs -campaign (the classic sweep has no journal)")
 	}
-	return runSweep(*tdpList, *ivList, *horizon, *seeds, *csvPath, *shards)
+	return runSweep(*tdpList, *ivList, *horizon, *seeds, *csvPath)
 }
 
 // campaignOptions carries the campaign-mode flag values.
@@ -111,7 +106,6 @@ type campaignOptions struct {
 	dir              string
 	resume           bool
 	workers          int
-	shards           int
 	csvPath          string
 	storeDir         string
 	quarantineReport string
@@ -143,7 +137,6 @@ func runCampaign(o campaignOptions) error {
 		Dir:          o.dir,
 		Resume:       o.resume,
 		Workers:      o.workers,
-		Shards:       o.shards,
 		CellTimeout:  o.cellTimeout,
 		Retries:      o.retries,
 		RetryBackoff: o.retryBackoff,
@@ -204,7 +197,7 @@ func parseFloatList(flagName, list string) ([]float64, error) {
 }
 
 // runSweep is the classic inline (TDP x interval) sweep.
-func runSweep(tdpList, ivList string, horizon time.Duration, seeds int, csvPath string, shards int) error {
+func runSweep(tdpList, ivList string, horizon time.Duration, seeds int, csvPath string) error {
 	tdps, err := parseFloatList("-tdp", tdpList)
 	if err != nil {
 		return err
@@ -246,7 +239,6 @@ func runSweep(tdpList, ivList string, horizon time.Duration, seeds int, csvPath 
 				cfg.EnableFaults = true
 				cfg.Faults.BaseRatePerSec = 0.1
 				cfg.Seed = uint64(s)
-				cfg.Shards = shards
 				rep, err := runOne(cfg)
 				if err != nil {
 					return err

@@ -24,41 +24,12 @@ func TestRunSmallSweep(t *testing.T) {
 	}
 }
 
-// TestRunShardedSweepMatchesSerial: -shards threads through to
-// core.Config.Shards, and by the sharded-epoch determinism contract the
-// sweep CSV is byte-identical to the serial one.
-func TestRunShardedSweepMatchesSerial(t *testing.T) {
-	dir := t.TempDir()
-	serial := filepath.Join(dir, "serial.csv")
-	sharded := filepath.Join(dir, "sharded.csv")
-	base := []string{"-tdp", "0.35", "-interval", "50ms",
-		"-horizon", "40ms", "-seeds", "1", "-csv"}
-	if err := run(append(append([]string{}, base...), serial)); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(append([]string{"-shards", "4"}, base...), sharded)); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("sharded sweep differs from serial:\nserial:\n%s\nsharded:\n%s", a, b)
-	}
-}
-
 func TestRunArgErrors(t *testing.T) {
 	cases := [][]string{
 		{"-tdp", "banana"},
 		{"-tdp", "1.5"},
 		{"-interval", "zzz"},
 		{"-seeds", "0"},
-		{"-shards", "-1"},
 		{"-resume"}, // resume without a campaign
 		{"-campaign", "does-not-exist.json", "-dir", "x"},
 	}

@@ -67,7 +67,6 @@ func run(args []string) error {
 	all := fs.Bool("all", false, "run every experiment")
 	parallel := fs.Int("parallel", 1, "experiments to run concurrently (results still print in order)")
 	workers := fs.Int("workers", 0, "simulation cells per experiment to run concurrently (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 0, "epoch-integrator shards inside each cell (0 or 1 = serial; results are byte-identical at any count)")
 	quick := fs.Bool("quick", false, "short horizons and single seed")
 	seed := fs.Uint64("seed", 0, "base seed offset for replication")
 	csvDir := fs.String("csv", "", "directory to write per-experiment CSV tables into")
@@ -118,9 +117,6 @@ func run(args []string) error {
 	if *workers < 0 {
 		*workers = 0
 	}
-	if *shards < 0 {
-		*shards = 0
-	}
 
 	// SIGINT/SIGTERM cancel the batch context: in-flight cells stop at
 	// their next epoch boundary, workers drain, journals and partial
@@ -134,7 +130,7 @@ func run(args []string) error {
 	var mu sync.Mutex
 	cells := map[string]int{}
 	runner := &expt.Runner{
-		Quick: *quick, BaseSeed: *seed, Workers: *workers, Shards: *shards, Ctx: ctx,
+		Quick: *quick, BaseSeed: *seed, Workers: *workers, Ctx: ctx,
 		GuardPolicy: *guardPolicy, Chaos: chaos,
 		CellTimeout: *cellTimeout, Retries: *retries, RetryBackoff: *retryBackoff,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Resume: *resume,

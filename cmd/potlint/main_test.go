@@ -36,7 +36,6 @@ func TestFixtureFindings(t *testing.T) {
 		"error from Engine.Snapshot is assigned to _",
 		"field Store.dirty is not referenced by Snapshot or Restore",
 		"os.WriteFile in durable package checkpoint is not crash-atomic",
-		"Advance is //potlint:shardsafe but writes package-level state advances",
 		"goroutine has no visible termination path",
 	} {
 		if !strings.Contains(stdout, wanted) {
@@ -67,7 +66,7 @@ func TestFixtureJSON(t *testing.T) {
 			t.Errorf("diagnostic missing position: %+v", d)
 		}
 	}
-	for _, a := range []string{"maporder", "wallclock", "snaperr", "snapfields", "atomicwrite", "shardsafe", "goroleak"} {
+	for _, a := range []string{"maporder", "wallclock", "snaperr", "snapfields", "atomicwrite", "goroleak"} {
 		if !analyzers[a] {
 			t.Errorf("expected a %s finding in %v", a, diags)
 		}
@@ -145,7 +144,7 @@ func TestFixtureSARIF(t *testing.T) {
 			t.Errorf("URI %q should be repo-relative for CI annotations", loc.ArtifactLocation.URI)
 		}
 	}
-	for _, a := range []string{"maporder", "atomicwrite", "snapfields", "shardsafe", "goroleak"} {
+	for _, a := range []string{"maporder", "atomicwrite", "snapfields", "goroleak"} {
 		if !byRule[a] {
 			t.Errorf("expected a %s result in the SARIF log", a)
 		}

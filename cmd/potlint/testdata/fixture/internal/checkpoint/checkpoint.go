@@ -1,7 +1,6 @@
 // Package checkpoint seeds the PR-10 structural bug classes in a
 // durable package: a struct field absent from its Snapshot/Restore
-// pair, a raw os.WriteFile, and a package-level write inside a
-// //potlint:shardsafe function. Each must fail make lint.
+// pair and a raw os.WriteFile. Each must fail make lint.
 package checkpoint
 
 import "os"
@@ -20,16 +19,3 @@ func (s *Store) Restore(st StoreState) { s.cursor = st.Cursor }
 // Save is the seeded non-atomic write: a crash mid-write leaves a
 // half-written checkpoint.
 func Save(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }
-
-var advances int
-
-// Advance is the seeded shard violation: the counter is package-level
-// state, written from what claims to be a shard-safe kernel.
-//
-//potlint:shardsafe
-func Advance(vals []float64, from, to int) {
-	for i := from; i < to; i++ {
-		vals[i] *= 0.5
-		advances++
-	}
-}

@@ -60,7 +60,6 @@ func run(args []string) error {
 		tdpFrac  = fs.Float64("tdp-frac", 0.35, "TDP as a fraction of theoretical chip peak power")
 		tdpWatts = fs.Float64("tdp-watts", 0, "explicit TDP in watts (overrides -tdp-frac)")
 		levels   = fs.Int("levels", 8, "DVFS operating points")
-		shards   = fs.Int("shards", 0, "epoch-integrator shards (0 or 1 = serial; results are byte-identical at any count)")
 		seed     = fs.Uint64("seed", 1, "root random seed")
 		faults   = fs.Bool("faults", false, "enable stochastic fault injection")
 		nocMode  = fs.String("noc", "txn", "interconnect mode: txn (analytic) or flit (co-simulated)")
@@ -129,7 +128,6 @@ func run(args []string) error {
 	cfg.TDPFraction = *tdpFrac
 	cfg.TDPWatts = *tdpWatts
 	cfg.DVFSLevels = *levels
-	cfg.Shards = *shards
 	cfg.Seed = *seed
 	cfg.EnableFaults = *faults
 	cfg.NoCMode = *nocMode

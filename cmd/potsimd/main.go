@@ -56,7 +56,6 @@ type options struct {
 	cellTimeout  time.Duration
 	retries      int
 	drainTimeout time.Duration
-	shards       int
 }
 
 func parseArgs(args []string) (options, error) {
@@ -73,7 +72,6 @@ func parseArgs(args []string) (options, error) {
 	fs.DurationVar(&o.cellTimeout, "cell-timeout", 0, "per-attempt watchdog for jobs and suite cells (0 = none)")
 	fs.IntVar(&o.retries, "retries", 0, "retry budget for failed attempts")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for jobs to checkpoint")
-	fs.IntVar(&o.shards, "shards", 0, "epoch-integrator shards per simulation (0 = serial; results are identical at any value)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -85,9 +83,6 @@ func parseArgs(args []string) (options, error) {
 	}
 	if o.workers < 1 {
 		return o, errors.New("-workers must be >= 1")
-	}
-	if o.shards < 0 {
-		return o, errors.New("-shards must be >= 0")
 	}
 	if o.drainTimeout <= 0 {
 		return o, errors.New("-drain-timeout must be positive")
@@ -110,7 +105,6 @@ func run(args []string) error {
 		CheckpointEvery: o.ckptEvery,
 		CellTimeout:     o.cellTimeout,
 		Retries:         o.retries,
-		Shards:          o.shards,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "potsimd: "+format+"\n", args...)
 		},

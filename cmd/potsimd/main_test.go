@@ -18,13 +18,13 @@ import (
 
 func TestParseArgs(t *testing.T) {
 	o, err := parseArgs([]string{"-data-dir", "/tmp/x", "-queue", "3",
-		"-workers", "5", "-shards", "2", "-checkpoint-every", "-1",
+		"-workers", "5", "-checkpoint-every", "-1",
 		"-max-per-tenant", "-1", "-drain-timeout", "5s"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.dataDir != "/tmp/x" || o.queue != 3 || o.workers != 5 ||
-		o.shards != 2 || o.ckptEvery != -1 || o.maxPerTenant != -1 ||
+		o.ckptEvery != -1 || o.maxPerTenant != -1 ||
 		o.drainTimeout != 5*time.Second {
 		t.Fatalf("parsed options: %+v", o)
 	}
@@ -38,7 +38,6 @@ func TestParseArgsErrors(t *testing.T) {
 		{}, // missing -data-dir
 		{"-data-dir", "/tmp/x", "-queue", "0"},
 		{"-data-dir", "/tmp/x", "-workers", "0"},
-		{"-data-dir", "/tmp/x", "-shards", "-2"},
 		{"-data-dir", "/tmp/x", "-drain-timeout", "0s"},
 		{"-data-dir", "/tmp/x", "-no-such-flag"},
 	}

@@ -140,45 +140,19 @@ func (t *Tracker) Cores() int { return len(t.cores) }
 const utilEwmaAlpha = 1.0 / 64
 
 // Advance integrates aging to time now given each core's state over the
-// elapsed interval. states must have one entry per core. It is
-// BeginAdvance followed by AdvanceRange over every core; sharded
-// callers run the same two steps with the range fanned out.
+// elapsed interval. states must have one entry per core.
+//
+//potlint:allocfree
 func (t *Tracker) Advance(now sim.Time, states []CoreState) error {
-	dt, err := t.BeginAdvance(now, states)
-	if err != nil {
-		return err
-	}
-	t.AdvanceRange(dt, states, 0, len(t.cores))
-	return nil
-}
-
-// BeginAdvance validates an integration step and commits the clock,
-// returning the elapsed interval in seconds for AdvanceRange calls.
-// Each core's update depends only on its own accumulator and its own
-// state entry, so disjoint ranges may run on different goroutines and
-// the result is byte-identical to the serial loop regardless of how the
-// cores are blocked.
-func (t *Tracker) BeginAdvance(now sim.Time, states []CoreState) (float64, error) {
 	if len(states) != len(t.cores) {
-		return 0, fmt.Errorf("aging: got %d states, want %d", len(states), len(t.cores))
+		return fmt.Errorf("aging: got %d states, want %d", len(states), len(t.cores))
 	}
 	dt := (now - t.lastAt).Seconds()
 	if dt < 0 {
-		return 0, fmt.Errorf("aging: time went backwards %v -> %v", t.lastAt, now)
+		return fmt.Errorf("aging: time went backwards %v -> %v", t.lastAt, now)
 	}
 	t.lastAt = now
-	return dt, nil
-}
-
-// AdvanceRange applies one committed integration step of dt seconds to
-// cores [from, to). Callers obtain dt from BeginAdvance; writes touch
-// only the cores in the range.
-//
-//potlint:allocfree
-//potlint:shardsafe
-func (t *Tracker) AdvanceRange(dt float64, states []CoreState, from, to int) {
-	for i := from; i < to; i++ {
-		st := states[i]
+	for i, st := range states {
 		c := &t.cores[i]
 		af := t.accel(st)
 		c.effStressSec += dt * t.params.AccelFactor * st.Utilization * af
@@ -197,6 +171,7 @@ func (t *Tracker) AdvanceRange(dt float64, states []CoreState, from, to int) {
 		c.lastVoltage = st.Voltage
 		c.lastActivity = st.Activity
 	}
+	return nil
 }
 
 // accel is the combined voltage/temperature acceleration factor.

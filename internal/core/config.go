@@ -181,18 +181,6 @@ type Config struct {
 	// and "log" records the violation and continues, attaching the tally
 	// to the report. See internal/guard.
 	GuardPolicy string
-
-	// Shards is the number of row-block shards the per-epoch integrators
-	// (thermal stencil, power-model evaluation, aging update) fan out
-	// across a persistent worker group; 0 and 1 both run serial. The
-	// sharded path is byte-identical to the serial one at any shard
-	// count (see internal/shard and the differential harness in
-	// shard_diff_test.go), so this is purely a throughput knob, never a
-	// model parameter. It is excluded from JSON — and therefore from
-	// ConfigHash — so a snapshot taken at one shard count resumes at any
-	// other, and config files cannot bake in a machine-specific value
-	// (set it via the -shards flag instead).
-	Shards int `json:"-"`
 }
 
 // MaxMeshSide is the largest supported mesh dimension. It bounds what
@@ -260,9 +248,6 @@ func (c Config) Validate() error {
 	if c.Width > MaxMeshSide || c.Height > MaxMeshSide {
 		return fmt.Errorf("core: mesh %dx%d exceeds the supported maximum %dx%d",
 			c.Width, c.Height, MaxMeshSide, MaxMeshSide)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards must be non-negative (0 or 1 = serial), got %d", c.Shards)
 	}
 	if err := c.Node.Validate(); err != nil {
 		return err

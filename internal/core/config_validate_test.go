@@ -36,11 +36,6 @@ func TestValidateRejectsUnaddressableMeshes(t *testing.T) {
 			wantErr: "mesh 8x128 exceeds the supported maximum 64x64",
 		},
 		{
-			name:    "negative shard count",
-			mutate:  func(c *Config) { c.Shards = -2 },
-			wantErr: "Shards must be non-negative (0 or 1 = serial), got -2",
-		},
-		{
 			name: "mesh smaller than largest library graph",
 			mutate: func(c *Config) {
 				c.Width, c.Height = 3, 4

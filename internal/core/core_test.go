@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"potsim/internal/eventlog"
 	"potsim/internal/guard"
@@ -1007,4 +1008,38 @@ func TestReportSanityFlagsNaN(t *testing.T) {
 	if err := rep2.Sanity(); err == nil {
 		t.Error("Inf per-core utilization passed sanity")
 	}
+}
+
+// TestLargeMeshRunUnderOneSecond is the scale acceptance gate: a
+// 1024-core (32x32) mesh simulating 50 ms of system time must finish in
+// under one wall-clock second on the serial epoch loop. Skipped under
+// the race detector, whose instrumentation slows the kernel by an order
+// of magnitude.
+func TestLargeMeshRunUnderOneSecond(t *testing.T) {
+	if raceEnabled {
+		t.Skip("wall-clock budget does not apply under -race")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = 32, 32
+	cfg.Horizon = 50 * sim.Millisecond
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rep, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if rep.TasksCompleted == 0 {
+		t.Fatal("1024-core run did no work")
+	}
+	if elapsed >= time.Second {
+		t.Fatalf("1024-core 50 ms run took %v, want < 1s", elapsed)
+	}
+	t.Logf("1024-core 50 ms run: %v wall clock", elapsed)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"potsim/internal/sim"
@@ -22,38 +21,30 @@ func sterileEpochConfig() Config {
 
 // TestEpochZeroAllocSteadyState pins the per-epoch control loop —
 // integration, invariant checks, power control, scheduling — to zero
-// allocations once the system's scratch buffers are warm, on the serial
-// path and at every sharded fan-out (the worker group is pre-spawned
-// and the shard closures pre-bound, so barriers cost no allocations).
-// This is the repo's allocation-regression tripwire for internal/core.
+// allocations once the system's scratch buffers are warm. This is the
+// repo's allocation-regression tripwire for internal/core. The subtest
+// is the serial path, named "shards=0" as when the loop could also be
+// sharded; it is now the only path.
 func TestEpochZeroAllocSteadyState(t *testing.T) {
-	for _, shards := range []int{0, 2, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := sterileEpochConfig()
-			cfg.Shards = shards
-			s, err := New(cfg)
-			if err != nil {
+	t.Run("shards=0", func(t *testing.T) {
+		s, err := New(sterileEpochConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			if err := s.StepEpoch(); err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
-			// The warmup also populates the runtime's goroutine-park
-			// caches (sudogs) used by the shard barrier channels;
-			// AllocsPerRun counts allocations on ALL goroutines.
-			for i := 0; i < 50; i++ {
-				if err := s.StepEpoch(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(200, func() {
-				if err := s.StepEpoch(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state epoch allocates %.1f per tick, want 0", allocs)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := s.StepEpoch(); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("steady-state epoch allocates %.1f per tick, want 0", allocs)
+		}
+	})
 }
 
 // BenchmarkTaskFire measures first-iteration delivery: the producer task

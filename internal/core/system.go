@@ -19,7 +19,6 @@ import (
 	"potsim/internal/power"
 	"potsim/internal/sbst"
 	"potsim/internal/scheduler"
-	"potsim/internal/shard"
 	"potsim/internal/sim"
 	"potsim/internal/thermal"
 	"potsim/internal/workload"
@@ -107,33 +106,6 @@ type coreRuntime struct {
 	level          int
 }
 
-// Power-evaluation kinds captured by the serial epoch pass for the
-// (possibly sharded) pure evaluation pass.
-const (
-	evalNone uint8 = iota // decommissioned core, or no test running
-	evalIdle              // model.IdlePower(v, tempK)
-	evalCore              // model.Core(v, f, activity, tempK)
-)
-
-// powerEval is one core's captured power-model inputs for an epoch. The
-// serial state-machine pass records what to evaluate; evalPowerRange
-// computes the breakdowns afterwards. Splitting the pure evaluation out
-// of the stateful loop is floating-point neutral — Model.Core and
-// Model.IdlePower are pure functions of these arguments — and it is
-// what lets the expensive part of the per-core update run on the shard
-// group without touching shared state.
-type powerEval struct {
-	wlKind  uint8
-	tstKind uint8
-	tempK   float64
-	wlV     float64
-	wlF     float64
-	wlA     float64
-	tstV    float64
-	tstF    float64
-	tstA    float64
-}
-
 // arrivalSource is the stream of incoming applications: the stochastic
 // generator, a trace replay, or a recording wrapper around either.
 type arrivalSource interface {
@@ -191,22 +163,6 @@ type System struct {
 	snapScratch  []scheduler.CoreSnapshot //potlint:nosnap per-epoch scratch, rewritten before every use
 	stateScratch []aging.CoreState        //potlint:nosnap per-epoch scratch, rewritten before every use
 	powerScratch []float64                //potlint:nosnap per-epoch scratch, rewritten before every use
-
-	// Sharded-epoch plan (zero-valued when cfg.Shards <= 1): a
-	// persistent worker group shared with the thermal grid, the fixed
-	// per-core blocks, the captured pure power-model inputs for the
-	// parallel evaluation pass, and closures pre-bound once at assembly
-	// so the steady-state epoch performs no allocations. Shard workers
-	// only evaluate pure per-core functions into disjoint slots; every
-	// order-sensitive reduction stays serial, which is what makes the
-	// sharded epoch byte-identical to the serial one (shard_diff_test.go
-	// proves it end to end).
-	group      *shard.Group  //potlint:nosnap worker pool, rebuilt at assembly
-	coreBlocks []shard.Range //potlint:nosnap fixed partition, rebuilt at assembly
-	powerEvals []powerEval   //potlint:nosnap per-epoch shard inputs, rewritten before every use
-	agingDt    float64       //potlint:nosnap per-epoch shard input, rewritten before every use
-	powerShard func(int)
-	agingShard func(int)
 
 	lastEpochAt sim.Time
 	ceiling     int
@@ -374,7 +330,6 @@ func New(cfg Config) (*System, error) {
 		snapScratch:  make([]scheduler.CoreSnapshot, cfg.Cores()),
 		stateScratch: make([]aging.CoreState, cfg.Cores()),
 		powerScratch: make([]float64, cfg.Cores()),
-		powerEvals:   make([]powerEval, cfg.Cores()),
 	}
 	s.guard = guard.New(gpolicy)
 	// Chip power can never physically exceed every core at peak draw;
@@ -440,36 +395,16 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 1 {
-		s.group = shard.NewGroup(cfg.Shards)
-		s.coreBlocks = shard.Partition(cfg.Cores(), cfg.Shards)
-		s.therm.Shard(s.group)
-		s.powerShard = func(i int) {
-			r := s.coreBlocks[i]
-			s.evalPowerRange(r.From, r.To)
-		}
-		s.agingShard = func(i int) {
-			r := s.coreBlocks[i]
-			s.ager.AdvanceRange(s.agingDt, s.stateScratch, r.From, r.To)
-		}
-	}
 	return s, nil
 }
 
-// Close releases the sharded-execution worker goroutines. Run calls it
-// on exit; drivers that step the system manually (StepEpoch) should
-// defer it themselves. A closed system keeps working — the shard group
-// degrades to serial execution with identical results — so Close is
-// goroutine hygiene, not a correctness requirement. Idempotent.
-func (s *System) Close() {
-	if s.group != nil {
-		s.group.Close()
-	}
-}
+// Close is a no-op: a System owns no goroutines or OS handles once New
+// returns. It stays so that drivers which defer it keep compiling, and
+// it may be called any number of times.
+func (s *System) Close() {}
 
 // Run executes the configured horizon and returns the report.
 func (s *System) Run() (*Report, error) {
-	defer s.Close()
 	var runErr error
 	fail := func(err error) {
 		if runErr == nil {
@@ -870,20 +805,13 @@ func (s *System) pumpFlitNet(now sim.Time) {
 
 // advance integrates tasks, tests, power, heat and aging over (now-dt,now].
 //
-// The per-core work is split into two passes. The serial pass below runs
-// the core state machines — task progress, DVFS decisions, completions —
-// and captures each core's pure power-model inputs into powerEvals. The
-// evaluation pass (evalPowerRange) then computes the breakdowns, either
-// inline or fanned out across the shard group; because the model calls
-// are pure and each core writes only its own slots, the split is
-// floating-point neutral and shard-count independent.
-//
 //potlint:allocfree
 func (s *System) advance(now sim.Time, dt sim.Time) error {
 	s.pumpFlitNet(now)
-	// powerVec is fully written below (every core, no early exit); the
-	// aging states are not — decommissioned cores skip the whole switch —
-	// so that buffer is re-zeroed to match a freshly made slice.
+	// powerVec and both accountant slots are written for every core
+	// below, zeros for a decommissioned core; the aging states are not —
+	// decommissioned cores skip the whole switch — so that buffer is
+	// re-zeroed to match a freshly made slice.
 	states := s.stateScratch
 	powerVec := s.powerScratch
 	clear(states)
@@ -891,8 +819,7 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 	for id := range s.cores {
 		cr := &s.cores[id]
 		tempK := s.therm.Temperature(id)
-		ev := &s.powerEvals[id]
-		*ev = powerEval{tempK: tempK}
+		var wl, tst power.Breakdown
 
 		switch cr.state {
 		case coreReserved:
@@ -904,12 +831,12 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 			}
 			// Reserved cores idle at the lowest level while waiting.
 			pt := s.table.Point(0)
-			ev.wlKind, ev.wlV = evalIdle, pt.Voltage
+			wl = s.model.IdlePower(pt.Voltage, tempK)
 			states[id] = aging.CoreState{Voltage: pt.Voltage, TempK: tempK}
 
 		case coreFree:
 			pt := s.table.Point(0)
-			ev.wlKind, ev.wlV = evalIdle, pt.Voltage
+			wl = s.model.IdlePower(pt.Voltage, tempK)
 			states[id] = aging.CoreState{Voltage: pt.Voltage, TempK: tempK}
 		}
 
@@ -952,8 +879,7 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 			if !tr.iterFired && tr.executed >= tr.effIter {
 				s.fireFirstIteration(tr, now)
 			}
-			ev.wlKind = evalCore
-			ev.wlV, ev.wlF, ev.wlA = pt.Voltage, pt.FreqHz, tr.task.Activity
+			wl = s.model.Core(pt.Voltage, pt.FreqHz, tr.task.Activity, tempK)
 			states[id] = aging.CoreState{
 				Utilization: 1, Voltage: pt.Voltage, TempK: tempK,
 				Activity: tr.task.Activity,
@@ -971,8 +897,7 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 				ex.Advance(dt)
 			}
 			act := ex.CurrentActivity()
-			ev.tstKind = evalCore
-			ev.tstV, ev.tstF, ev.tstA = pt.Voltage, pt.FreqHz, act
+			tst = s.model.Core(pt.Voltage, pt.FreqHz, act, tempK)
 			states[id] = aging.CoreState{
 				Utilization: 1, Voltage: pt.Voltage, TempK: tempK,
 				Activity: act,
@@ -981,13 +906,10 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 				s.completeTest(id, ex, now)
 			}
 		}
-	}
 
-	// Pure evaluation pass: expensive model calls, disjoint writes only.
-	if s.group != nil {
-		s.group.Run(s.powerShard)
-	} else {
-		s.evalPowerRange(0, len(s.cores))
+		s.acct.SetWorkload(id, wl)
+		s.acct.SetTest(id, tst)
+		powerVec[id] = wl.Total() + tst.Total()
 	}
 
 	if s.memory != nil {
@@ -1005,43 +927,7 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 	if err := s.therm.Advance(now, powerVec); err != nil {
 		return err
 	}
-	if s.group != nil {
-		agingDt, err := s.ager.BeginAdvance(now, states)
-		if err != nil {
-			return err
-		}
-		s.agingDt = agingDt
-		s.group.Run(s.agingShard)
-		return nil
-	}
 	return s.ager.Advance(now, states)
-}
-
-// evalPowerRange evaluates the captured power-model inputs for cores
-// [from, to): workload and test breakdowns into the accountant's
-// per-core slots and the combined draw into the thermal power vector.
-// Every write is to core id's own slot, so disjoint ranges are safe to
-// run concurrently and the result is independent of the blocking.
-//
-//potlint:allocfree
-//potlint:shardsafe
-func (s *System) evalPowerRange(from, to int) {
-	for id := from; id < to; id++ {
-		ev := &s.powerEvals[id]
-		var wl, tst power.Breakdown
-		switch ev.wlKind {
-		case evalIdle:
-			wl = s.model.IdlePower(ev.wlV, ev.tempK)
-		case evalCore:
-			wl = s.model.Core(ev.wlV, ev.wlF, ev.wlA, ev.tempK)
-		}
-		if ev.tstKind == evalCore {
-			tst = s.model.Core(ev.tstV, ev.tstF, ev.tstA, ev.tempK)
-		}
-		s.acct.SetWorkload(id, wl)
-		s.acct.SetTest(id, tst)
-		s.powerScratch[id] = wl.Total() + tst.Total()
-	}
 }
 
 // checkInvariants evaluates the runtime guard registry after an epoch's

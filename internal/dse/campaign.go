@@ -39,11 +39,6 @@ type Engine struct {
 	// Worker count never affects results, only wall-clock time.
 	Workers int
 
-	// Shards is the per-cell epoch-integrator shard count (core.Config
-	// Shards); sharding is byte-identical to serial, so it, too, only
-	// affects wall-clock time.
-	Shards int
-
 	// GuardPolicy overrides the per-cell runtime invariant policy
 	// ("" keeps the core default: stop the cell at the first violation,
 	// which the engine then quarantines as class "guard").
@@ -261,8 +256,8 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 
 // stageMeta fingerprints one stage for its journal: spec content hash,
 // stage name, horizon, cell count, guard policy and (for the full
-// stage) the survivor set. Workers and shards are deliberately absent —
-// neither affects results, and a campaign must be resumable under a
+// stage) the survivor set. Workers are deliberately absent — they do
+// not affect results, and a campaign must be resumable under a
 // different parallelism than it was started with.
 func (e *Engine) stageMeta(fp, stage string, horizon sim.Time, n int, survivors []int64) string {
 	meta := fmt.Sprintf("dse campaign=%s spec=%s stage=%s horizon=%d n=%d guard=%q",
@@ -404,9 +399,6 @@ func (e *Engine) cellConfig(space *Space, p Point, horizon sim.Time) core.Config
 	if e.GuardPolicy != "" {
 		cfg.GuardPolicy = e.GuardPolicy
 	}
-	if e.Shards > 0 {
-		cfg.Shards = e.Shards
-	}
 	return cfg
 }
 
@@ -533,7 +525,7 @@ var csvHeaders = []string{
 // one explicit gap row per quarantined cell, merged in cell order. Its
 // CSV form is the campaign's byte-identity contract — a pure function
 // of the spec and the simulation results, independent of workers,
-// shards, interruptions and wall-clock.
+// interruptions and wall-clock.
 func (r *Result) Table() *metrics.Table {
 	t := metrics.NewTable(fmt.Sprintf(
 		"DSE campaign %s: Pareto frontier (%d of %d cells, %d survivors, %d quarantined)",

@@ -13,8 +13,7 @@
 //   - The campaign journal (internal/batch JSONL journals, one per
 //     stage) makes the whole campaign kill-anywhere resumable: a run
 //     SIGKILLed at any instant resumes against the same directory and
-//     produces a byte-identical final frontier at any worker or shard
-//     count.
+//     produces a byte-identical final frontier at any worker count.
 //   - A cell that exhausts its retry budget — panic, watchdog timeout,
 //     guard violation, plain error — lands in a quarantine record:
 //     reported, durably journaled, excluded from the frontier, and the

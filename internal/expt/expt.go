@@ -67,13 +67,6 @@ type Runner struct {
 	// Workers bounds intra-experiment cell parallelism; <= 0 means
 	// GOMAXPROCS, 1 recovers strictly sequential execution.
 	Workers int
-	// Shards is forwarded into every cell's configuration as the
-	// intra-run epoch-integrator shard count (core.Config.Shards). It
-	// never changes any result — the sharded epoch is byte-identical to
-	// the serial one, which TestGoldenAcrossShardCounts pins against the
-	// golden CSVs — and it composes with Workers: Workers spreads cells,
-	// Shards spreads one cell's mesh.
-	Shards int
 	// Ctx, when non-nil, cancels cell dispatch mid-experiment.
 	Ctx context.Context
 	// Progress, when non-nil, is called as an experiment's cells finish
@@ -383,7 +376,6 @@ func (r *Runner) baseConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Horizon = r.horizon()
 	cfg.GuardPolicy = r.GuardPolicy
-	cfg.Shards = r.Shards
 	return cfg
 }
 
@@ -1448,9 +1440,10 @@ func (r *Runner) E18() (*Result, error) {
 // scaled with core count (as in E6), reporting the dark fraction the
 // technology model forces, the test-induced throughput penalty, and the
 // test energy share. Quick mode stops at 32x32; the full suite adds the
-// 64x64 (4096-core) maximum geometry. The sharded epoch path (-shards)
-// is what makes these cells affordable — it changes no digit of this
-// table (TestGoldenAcrossShardCounts).
+// 64x64 (4096-core) maximum geometry. Each cell runs its epoch loop
+// serially; the cells themselves fan out across Workers. Splitting one
+// cell's per-core layers across goroutines was measured slower than
+// serial at 32x32 and 64x64 (DESIGN.md, "Why the epoch loop is serial").
 func (r *Runner) E19() (*Result, error) {
 	type size struct{ w, h int }
 	sizes := []size{{16, 16}, {32, 32}, {64, 64}}

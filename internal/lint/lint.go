@@ -203,7 +203,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{MapOrder, WallClock, FloatEq, AllocFree, SnapErr, SnapFields, AtomicWrite, ShardSafe, GoroLeak}
+	return []*Analyzer{MapOrder, WallClock, FloatEq, AllocFree, SnapErr, SnapFields, AtomicWrite, GoroLeak}
 }
 
 // Select filters All() by a comma-separated name list ("" keeps all).

@@ -6,6 +6,6 @@ import "fmt"
 
 func fireAndForget() {
 	go func() {
-		fmt.Sprintln("core fan-out is the shard group's business")
+		fmt.Sprintln("core is outside the drain-lifecycle packages")
 	}()
 }

@@ -103,20 +103,10 @@ func NewAccountant(cores int, traceEvery sim.Time) (*Accountant, error) {
 
 // SetWorkload records the workload (or idle) power of core id. The value
 // stays in effect until the next call for that core.
-//
-// Shard safety: SetWorkload and SetTest touch only core id's slot, so
-// goroutines covering disjoint core ranges may call them concurrently
-// (the sharded epoch path does). The chip-level sums (WorkloadPower,
-// TestPower, Advance) stay strictly serial, in index order, so the
-// floating-point reductions are byte-identical at any shard count.
-//
-//potlint:shardsafe
 func (a *Accountant) SetWorkload(id int, b Breakdown) { a.workload[id] = b }
 
 // SetTest records the test-routine power of core id; zero when no test
-// runs there. Shard-safe per slot like SetWorkload.
-//
-//potlint:shardsafe
+// runs there.
 func (a *Accountant) SetTest(id int, b Breakdown) { a.test[id] = b }
 
 // WorkloadPower returns the current chip workload power in watts.

@@ -100,9 +100,6 @@ type Config struct {
 	// CellWorkers bounds intra-suite cell parallelism (expt.Runner
 	// Workers); <= 0 means GOMAXPROCS.
 	CellWorkers int
-	// Shards is the per-simulation epoch shard count, forwarded to both
-	// job kinds. Result-neutral by the determinism contract.
-	Shards int
 	// CheckpointEvery is the snapshot cadence in epochs for running
 	// jobs. 0 selects the default (200); negative disables periodic
 	// snapshots (drain checkpoints still happen via RequestStop).
@@ -160,17 +157,14 @@ type Stats struct {
 	QueueDepth int  `json:"queueDepth"`
 	JobWorkers int  `json:"jobWorkers"`
 
-	Submitted int `json:"submitted"`
-	Deduped   int `json:"deduped"`
-	CacheHits int `json:"cacheHits"`
-	// CacheIndexHits counts cache hits answered via the segment-backed
-	// fingerprint index (DataDir mode) rather than a blind disk probe.
-	CacheIndexHits int `json:"cacheIndexHits"`
-	Completed      int `json:"completed"`
-	Failed         int `json:"failed"`
-	Canceled       int `json:"canceled"`
-	Interrupted    int `json:"interrupted"`
-	Recovered      int `json:"recovered"`
+	Submitted   int `json:"submitted"`
+	Deduped     int `json:"deduped"`
+	CacheHits   int `json:"cacheHits"`
+	Completed   int `json:"completed"`
+	Failed      int `json:"failed"`
+	Canceled    int `json:"canceled"`
+	Interrupted int `json:"interrupted"`
+	Recovered   int `json:"recovered"`
 
 	RejectedQueueFull int `json:"rejectedQueueFull"`
 	RejectedTenant    int `json:"rejectedTenant"`
@@ -198,8 +192,8 @@ type Server struct {
 	draining bool
 	stats    Stats
 
-	memCache map[string][]byte // fingerprint -> result doc, DataDir == "" only
-	idx      *cacheIndex       // segment-backed cache index, DataDir != "" only
+	memCache map[string][]byte   // fingerprint -> result doc, DataDir == "" only
+	cached   map[string]struct{} // fingerprints with a cache/<fp>.json file, DataDir != "" only
 
 	queue     chan *Job
 	drainCh   chan struct{}
@@ -226,20 +220,18 @@ func New(cfg Config) (*Server, error) {
 				return nil, fmt.Errorf("service: creating data dir: %w", err)
 			}
 		}
-		idx, err := openCacheIndex(s.indexDir(), s.logf)
-		if err != nil {
-			return nil, fmt.Errorf("service: opening cache index: %w", err)
-		}
-		s.idx = idx
+		s.cached = make(map[string]struct{})
 	}
 	recovered, err := s.recoverJobs()
 	if err != nil {
 		return nil, err
 	}
-	if s.idx != nil {
-		// After recovery: repairCache may just have re-created cache
-		// entries the index never saw (crash between the two writes).
-		s.idx.reconcile(s.cacheDir())
+	if s.cached != nil {
+		// After recovery, so the listing includes the entries
+		// repairCache just rewrote.
+		if err := s.seedCached(); err != nil {
+			return nil, err
+		}
 	}
 	// The channel is sized so that sends under the admission invariant
 	// (queued < QueueDepth, plus the recovered backlog) never block.
@@ -257,7 +249,29 @@ func New(cfg Config) (*Server, error) {
 
 func (s *Server) jobsDir() string  { return filepath.Join(s.cfg.DataDir, "jobs") }
 func (s *Server) cacheDir() string { return filepath.Join(s.cfg.DataDir, "cache") }
-func (s *Server) indexDir() string { return filepath.Join(s.cfg.DataDir, "cache-index") }
+
+// seedCached lists the cache directory once into the fingerprint set,
+// so that loadCacheLocked can answer a miss without touching disk.
+// A cache-index/ directory left by an older daemon is ignored.
+func (s *Server) seedCached() error {
+	entries, err := os.ReadDir(s.cacheDir())
+	if err != nil {
+		return fmt.Errorf("service: scanning cache dir: %w", err)
+	}
+	for _, e := range entries {
+		if fp, ok := strings.CutSuffix(e.Name(), ".json"); ok && !e.IsDir() {
+			s.cached[fp] = struct{}{}
+		}
+	}
+	return nil
+}
+
+// markCached records a successful write of cache/<fp>.json.
+func (s *Server) markCached(fp string) {
+	s.mu.Lock()
+	s.cached[fp] = struct{}{}
+	s.mu.Unlock()
+}
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -391,8 +405,8 @@ func (s *Server) repairCache(fp string, doc *ResultDoc) {
 	}
 	if err := checkpoint.Save(path, resultKind, resultVersion, doc); err != nil {
 		s.logf("cache repair for %s: %v", fp, err)
-	} else if s.idx != nil {
-		s.idx.add(fp, "", doc.Kind, doc.Experiment)
+	} else {
+		s.markCached(fp)
 	}
 }
 
@@ -445,9 +459,6 @@ func (s *Server) Submit(spec JobSpec, tenant string) (SubmitOutcome, error) {
 	if doc, ok := s.loadCacheLocked(fp); ok {
 		job := s.newCachedJobLocked(spec, tenant, fp, doc)
 		s.stats.CacheHits++
-		if s.idx != nil && s.idx.has(fp) {
-			s.stats.CacheIndexHits++
-		}
 		s.mu.Unlock()
 		return SubmitOutcome{Job: job, CacheHit: true}, nil
 	}
@@ -542,11 +553,10 @@ func (s *Server) loadCacheLocked(fp string) ([]byte, bool) {
 		doc, ok := s.memCache[fp]
 		return doc, ok
 	}
-	// The segment index answers negative lookups from memory: every
-	// cache write this server makes is indexed (and startup reconciles
-	// the directory), so an unindexed fingerprint cannot have an entry
-	// and the disk probe below is skipped.
-	if s.idx != nil && !s.idx.has(fp) {
+	// Every cache file is in s.cached (listed at startup, added on each
+	// write), so a fingerprint missing from it is a miss without a disk
+	// probe.
+	if _, ok := s.cached[fp]; !ok {
 		return nil, false
 	}
 	var doc ResultDoc
@@ -802,8 +812,8 @@ func (s *Server) persistResult(job *Job, doc *ResultDoc) {
 	if path := s.cachePath(job.Fingerprint); path != "" {
 		if err := checkpoint.Save(path, resultKind, resultVersion, doc); err != nil {
 			s.logf("caching result of %s: %v", job.ID, err)
-		} else if s.idx != nil {
-			s.idx.add(job.Fingerprint, job.ID, doc.Kind, doc.Experiment)
+		} else {
+			s.markCached(job.Fingerprint)
 		}
 	} else {
 		blob, err := json.Marshal(doc)
@@ -860,7 +870,6 @@ const progressEvery = 32
 // survives and checkpointing as it goes.
 func (s *Server) runSim(ctx context.Context, job *Job) (ResultDoc, error) {
 	cfg := job.simCfg
-	cfg.Shards = s.cfg.Shards
 	sys, err := core.New(cfg)
 	if err != nil {
 		return ResultDoc{}, err
@@ -928,7 +937,6 @@ func (s *Server) runSuite(ctx context.Context, job *Job) (ResultDoc, error) {
 		BaseSeed:        job.Spec.BaseSeed,
 		GuardPolicy:     strings.ToLower(job.Spec.GuardPolicy),
 		Workers:         s.cfg.CellWorkers,
-		Shards:          s.cfg.Shards,
 		CellTimeout:     s.cfg.CellTimeout,
 		Retries:         s.cfg.Retries,
 		RetryBackoff:    s.cfg.RetryBackoff,

@@ -178,6 +178,108 @@ func TestCacheHitSameServerAndAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestCacheIndexBacksHitsAcrossRestart covers the crash window between
+// a job's result.json write and its cache/<fp>.json write: with the cache
+// file gone, a restart rewrites it from the job's result, the in-memory
+// fingerprint index (seeded after that repair) lists it, and the
+// resubmission is answered from the cache without running the job again.
+func TestCacheIndexBacksHitsAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	spec := simSpec(20*sim.Millisecond, 17)
+
+	s1, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s1.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, first.Job, StateDone)
+	golden, _ := first.Job.Result()
+	drain(t, s1)
+
+	if err := os.Remove(filepath.Join(dir, "cache", first.Job.Fingerprint+".json")); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s2)
+	again, err := s2.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit {
+		t.Fatal("resubmission after the cache repair missed the cache")
+	}
+	got, _ := again.Job.Result()
+	if !bytes.Equal(golden, got) {
+		t.Fatal("repaired cache entry differs from the computed result")
+	}
+	if st := s2.Stats(); st.CacheHits != 1 || st.Completed != 0 {
+		t.Fatalf("restarted server stats: %+v", st)
+	}
+}
+
+// TestCacheIndexRebuildsFromCacheDir checks that a restarted server
+// rebuilds its fingerprint index from the cache/ listing alone: a
+// corrupt cache-index/ directory left by an older daemon is ignored,
+// every cached fingerprint is a hit, and an unseen spec misses and runs.
+func TestCacheIndexRebuildsFromCacheDir(t *testing.T) {
+	dir := t.TempDir()
+	specs := []JobSpec{simSpec(20*sim.Millisecond, 19), simSpec(20*sim.Millisecond, 23)}
+
+	s1, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		out, err := s1.Submit(spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, out.Job, StateDone)
+	}
+	drain(t, s1)
+
+	stale := filepath.Join(dir, "cache-index")
+	if err := os.MkdirAll(stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stale, "000000-cache-index.seg"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatalf("a stale cache-index/ must not fail startup: %v", err)
+	}
+	defer drain(t, s2)
+	for i, spec := range specs {
+		hit, err := s2.Submit(spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.CacheHit {
+			t.Fatalf("spec %d: rebuilt index lost the cache entry", i)
+		}
+	}
+	fresh, err := s2.Submit(simSpec(20*sim.Millisecond, 29), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.CacheHit {
+		t.Fatal("an unseen spec hit the cache")
+	}
+	waitState(t, fresh.Job, StateDone)
+	if st := s2.Stats(); st.CacheHits != 2 || st.Completed != 1 {
+		t.Fatalf("restarted server stats: %+v", st)
+	}
+}
+
 func TestSingleFlightDedup(t *testing.T) {
 	s, err := New(Config{DataDir: t.TempDir(), JobWorkers: 2})
 	if err != nil {

@@ -21,7 +21,7 @@ const (
 
 // JobSpec is the body of a job submission. Exactly the fields that
 // determine the job's *result* live here; execution knobs (worker
-// counts, shard counts, timeouts) are server configuration, excluded
+// counts, timeouts) are server configuration, excluded
 // from the fingerprint because the determinism contract makes them
 // result-neutral — which is precisely what lets one cached result serve
 // every client whatever hardware it was computed on.
@@ -107,8 +107,7 @@ func (s *JobSpec) Validate() error {
 }
 
 // Fingerprint is the content address of the job's result: sim jobs hash
-// their materialised configuration (core.ConfigHash, which already
-// excludes result-neutral knobs like Shards), suite jobs hash the
+// their materialised configuration (core.ConfigHash), suite jobs hash the
 // canonical (experiment, mode, seed base, guard policy) tuple. Two
 // submissions with equal fingerprints are guaranteed — by the repo's
 // determinism contracts — to produce byte-identical results, so the

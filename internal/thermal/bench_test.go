@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"potsim/internal/shard"
 	"potsim/internal/sim"
 )
 
@@ -29,10 +28,7 @@ func BenchmarkAdvanceEpoch(b *testing.B) {
 
 // BenchmarkThermalStep measures the raw forward-Euler kernel (one full
 // MaxStepS substep, no Advance bookkeeping) across grid sizes. The
-// 1024-core point is the large-mesh scaling headline; the sharded
-// variant runs the same kernel fanned over a 4-worker group and is
-// byte-identical to the serial row (shard_test.go), so the pair prices
-// the barrier against the stencil.
+// 1024-core point is the large-mesh scaling headline.
 func BenchmarkThermalStep(b *testing.B) {
 	for _, side := range []int{4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("cores=%d", side*side), func(b *testing.B) {
@@ -51,22 +47,4 @@ func BenchmarkThermalStep(b *testing.B) {
 			}
 		})
 	}
-	b.Run("cores=1024-shards=4", func(b *testing.B) {
-		g, err := NewGrid(DefaultConfig(32, 32))
-		if err != nil {
-			b.Fatal(err)
-		}
-		group := shard.NewGroup(4)
-		defer group.Close()
-		g.Shard(group)
-		p := make([]float64, g.Cores())
-		for i := range p {
-			p[i] = 0.5
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.step(g.cfg.MaxStepS, p)
-		}
-	})
 }

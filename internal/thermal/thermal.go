@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"potsim/internal/shard"
 	"potsim/internal/sim"
 )
 
@@ -53,18 +52,6 @@ type Grid struct {
 	scratch []float64 //potlint:nosnap stencil double-buffer, rewritten before every use
 	lastAt  sim.Time
 	peakK   float64
-
-	// Sharded-execution plan, installed by Shard. The stencil reads only
-	// the previous field (tempK) and each shard writes a disjoint block
-	// of rows into scratch, so shards never touch the same slot; peaks
-	// land in per-shard cells and are folded in shard order after the
-	// barrier. All fields are nil/unused on the serial path.
-	group      *shard.Group  //potlint:nosnap worker pool, reinstalled by Shard
-	rowBlocks  []shard.Range //potlint:nosnap fixed partition, reinstalled by Shard
-	shardPeaks []float64     //potlint:nosnap per-step shard cells, rewritten before every use
-	curDt      float64       //potlint:nosnap per-step shard input, rewritten before every use
-	curPower   []float64     //potlint:nosnap per-step shard input, rewritten before every use
-	stepShard  func(int)
 }
 
 // NewGrid creates a grid with all cores at ambient temperature.
@@ -162,73 +149,16 @@ func (g *Grid) Advance(now sim.Time, powerW []float64) error {
 	return nil
 }
 
-// Shard installs a worker group for the stencil update: each Run of the
-// group computes one fixed block of rows, and the blocks are the pure
-// row partition shard.Partition(Height, group.Shards()). Passing nil or
-// a 1-shard group restores the serial path. The sharded field is
-// byte-identical to the serial one — the thermal golden tests compare
-// the two with math.Float64bits — because the stencil reads only the
-// previous buffer and every reduction is either per-slot (scratch) or
-// folded in shard order (peaks). The group is shared with the caller
-// and not closed by the grid.
-func (g *Grid) Shard(group *shard.Group) {
-	if group == nil || group.Shards() == 1 {
-		g.group = nil
-		g.rowBlocks = nil
-		g.shardPeaks = nil
-		g.stepShard = nil
-		return
-	}
-	g.group = group
-	g.rowBlocks = shard.Partition(g.cfg.Height, group.Shards())
-	g.shardPeaks = make([]float64, group.Shards())
-	// One closure for the grid's lifetime: Run stays allocation-free.
-	g.stepShard = func(i int) {
-		r := g.rowBlocks[i]
-		g.shardPeaks[i] = g.stepRows(g.curDt, g.curPower, r.From, r.To)
-	}
-}
-
 // step performs one forward-Euler update of length dt seconds and returns
 // the hottest temperature written. The new field is built in the scratch
-// buffer and the two buffers are swapped — no copy-back pass. Serially it
-// is one stepRows call over every row; sharded, each worker runs stepRows
-// on its row block and the per-shard peaks fold in shard order, which is
-// byte-identical because the peak fold (max with NaN-skip) is associative
-// over ordered blocks.
+// buffer and the two buffers are swapped — no copy-back pass. Neighbour
+// heat-flow terms accumulate in the fixed order left, right, up, down
+// (the original branch order), and the update expression is kept verbatim
+// as t + dt*flow/C, so the floating-point result is bit-identical to the
+// pre-optimization kernel.
 //
 //potlint:allocfree
 func (g *Grid) step(dt float64, powerW []float64) float64 {
-	var peak float64
-	if g.group == nil {
-		peak = g.stepRows(dt, powerW, 0, g.cfg.Height)
-	} else {
-		g.curDt, g.curPower = dt, powerW
-		g.group.Run(g.stepShard)
-		g.curPower = nil
-		peak = math.Inf(-1)
-		for _, p := range g.shardPeaks {
-			if p > peak {
-				peak = p
-			}
-		}
-	}
-	g.tempK, g.scratch = g.scratch, g.tempK
-	return peak
-}
-
-// stepRows applies the forward-Euler update to rows [y0, y1), reading
-// the full previous field from tempK and writing only those rows into
-// the scratch buffer, and returns the hottest temperature it wrote
-// (-Inf for an empty range). Neighbour heat-flow terms accumulate in the
-// fixed order left, right, up, down (the original branch order), and the
-// update expression is kept verbatim as t + dt*flow/C, so the result is
-// bit-identical to the historical serial kernel cell by cell — and
-// therefore independent of how rows are blocked across shards.
-//
-//potlint:allocfree
-//potlint:shardsafe
-func (g *Grid) stepRows(dt float64, powerW []float64, y0, y1 int) float64 {
 	w, h := g.cfg.Width, g.cfg.Height
 	gv := 1 / g.cfg.RVertical
 	gl := 1 / g.cfg.RLateral
@@ -261,7 +191,7 @@ func (g *Grid) stepRows(dt float64, powerW []float64, y0, y1 int) float64 {
 		}
 	}
 
-	for y := y0; y < y1; y++ {
+	for y := 0; y < h; y++ {
 		row := y * w
 		if w < 3 || h < 3 || y == 0 || y == h-1 {
 			// Boundary rows (and every row of degenerate meshes) take
@@ -290,6 +220,7 @@ func (g *Grid) stepRows(dt float64, powerW []float64, y0, y1 int) float64 {
 		}
 		cell(row+w-1, w-1, y)
 	}
+	g.tempK, g.scratch = scratch, tempK
 	return peak
 }
 
