@@ -1,16 +1,27 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"potsim/internal/dse"
+	"potsim/internal/results"
 )
 
+// TestRunSmallSweep runs the (TDP fraction x test interval) sweep grid
+// as a campaign spec, the way configs/sweep-16nm.json does at full size:
+// the frontier CSV holds both points and the full-stage store carries a
+// finite detection latency for every cell.
 func TestRunSmallSweep(t *testing.T) {
-	csv := filepath.Join(t.TempDir(), "sweep.csv")
-	err := run([]string{"-tdp", "0.3,0.5", "-interval", "50ms",
-		"-horizon", "40ms", "-seeds", "1", "-csv", csv})
+	dir := t.TempDir()
+	spec := writeSweepSpec(t, dir, "0.3, 0.5")
+	csv := filepath.Join(dir, "sweep.csv")
+	store := filepath.Join(dir, "stores")
+	err := run([]string{"-campaign", spec, "-dir", filepath.Join(dir, "state"),
+		"-store", store, "-csv", csv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,67 +31,75 @@ func TestRunSmallSweep(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
 	if len(lines) != 3 { // header + 2 points
-		t.Errorf("CSV has %d lines, want 3", len(lines))
+		t.Fatalf("CSV has %d lines, want 3:\n%s", len(lines), blob)
 	}
+	for i, tdp := range []string{"0.3", "0.5"} {
+		if f := strings.Split(lines[i+1], ","); f[3] != tdp || f[4] != "50" {
+			t.Errorf("CSV row %d = %q, want tdpFraction %s at 50 ms", i+1, lines[i+1], tdp)
+		}
+	}
+
+	st, err := results.Open(dse.StageStorePath(store, "full"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	si, li := st.Schema().Col("status"), st.Schema().Col("detectLatencyMS")
+	if li < 0 {
+		t.Fatal("store lacks the detectLatencyMS column")
+	}
+	sc := st.Scan()
+	rows := 0
+	for sc.Next() {
+		rows++
+		if sc.Str(si) != "ok" {
+			t.Errorf("store row %d has status %q", rows, sc.Str(si))
+			continue
+		}
+		if lat := sc.Float(li); math.IsNaN(lat) || math.IsInf(lat, 0) {
+			t.Errorf("store row %d detectLatencyMS = %v, want finite", rows, lat)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 2 {
+		t.Errorf("store has %d rows, want 2", rows)
+	}
+}
+
+// writeSweepSpec writes a small sweep campaign spec (8x8, 16nm, 50 ms
+// interval, 40 ms horizon, 1 seed, faults on) over the given TDP
+// fractions into dir and returns its path.
+func writeSweepSpec(t *testing.T, dir, tdps string) string {
+	t.Helper()
+	spec := filepath.Join(dir, "sweep.json")
+	if err := os.WriteFile(spec, []byte(`{
+  "name": "small-sweep",
+  "meshes": ["8x8"],
+  "nodes": ["16nm"],
+  "tdpFractions": [`+tdps+`],
+  "baseIntervalsMS": [50],
+  "policies": ["pots"],
+  "seeds": 1,
+  "horizonMS": 40,
+  "mapper": "NN",
+  "enableFaults": true,
+  "faultRatePerSec": 0.1
+}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }
 
 func TestRunArgErrors(t *testing.T) {
 	cases := [][]string{
-		{"-tdp", "banana"},
-		{"-tdp", "1.5"},
-		{"-interval", "zzz"},
-		{"-seeds", "0"},
-		{"-resume"}, // resume without a campaign
+		{"-dir", "x"}, // no -campaign
+		{"-resume"},   // resume without a campaign
 		{"-campaign", "does-not-exist.json", "-dir", "x"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
-		}
-	}
-}
-
-// TestParseFloatList: strconv.ParseFloat on whole tokens — trailing
-// garbage, empty tokens, dangling exponents and non-finite values must
-// all be rejected, not silently truncated the way Sscanf("%g") did.
-func TestParseFloatList(t *testing.T) {
-	cases := []struct {
-		list string
-		want []float64
-		ok   bool
-	}{
-		{"0.25,0.35,0.50", []float64{0.25, 0.35, 0.50}, true},
-		{" 0.5 , 1 ", []float64{0.5, 1}, true},
-		{"1e-1", []float64{0.1}, true},
-		{"0.5x", nil, false}, // trailing garbage (Sscanf parsed this as 0.5)
-		{"x0.5", nil, false}, // leading garbage
-		{"", nil, false},     // empty token
-		{"0.5,", nil, false}, // trailing empty token
-		{"0.5,,1", nil, false},
-		{"1e", nil, false},    // dangling exponent
-		{"1e999", nil, false}, // out of range
-		{"-1e999", nil, false},
-		{"NaN", nil, false},
-		{"+Inf", nil, false},
-		{"banana", nil, false},
-	}
-	for _, c := range cases {
-		got, err := parseFloatList("-tdp", c.list)
-		if c.ok != (err == nil) {
-			t.Errorf("parseFloatList(%q): err = %v, want ok=%v", c.list, err, c.ok)
-			continue
-		}
-		if !c.ok {
-			continue
-		}
-		if len(got) != len(c.want) {
-			t.Errorf("parseFloatList(%q) = %v, want %v", c.list, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("parseFloatList(%q)[%d] = %v, want %v", c.list, i, got[i], c.want[i])
-			}
 		}
 	}
 }
@@ -165,18 +184,18 @@ func TestRunCampaignMode(t *testing.T) {
 	}
 }
 
-// TestSweepCSVWriteIsAtomic pins the atomicwrite fix: the sweep CSV
-// must land via checkpoint.WriteFileAtomic (write-to-temp, fsync,
-// rename), so a pre-existing file is replaced wholesale and no *.tmp*
-// droppings survive a successful run.
+// TestSweepCSVWriteIsAtomic pins the atomicwrite fix: the sweep's
+// frontier CSV must land via checkpoint.WriteFileAtomic (write-to-temp,
+// fsync, rename), so a pre-existing file is replaced wholesale and no
+// *.tmp* droppings survive a successful run.
 func TestSweepCSVWriteIsAtomic(t *testing.T) {
 	dir := t.TempDir()
+	spec := writeSweepSpec(t, dir, "0.3")
 	csv := filepath.Join(dir, "sweep.csv")
 	if err := os.WriteFile(csv, []byte("stale partial content"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"-tdp", "0.3", "-interval", "50ms",
-		"-horizon", "40ms", "-seeds", "1", "-csv", csv})
+	err := run([]string{"-campaign", spec, "-dir", filepath.Join(dir, "state"), "-csv", csv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +206,8 @@ func TestSweepCSVWriteIsAtomic(t *testing.T) {
 	if strings.Contains(string(blob), "stale partial") {
 		t.Fatal("sweep CSV was not replaced")
 	}
-	if !strings.HasPrefix(string(blob), "tdp-frac") {
-		t.Fatalf("sweep CSV lost its header: %q", string(blob)[:40])
+	if !strings.HasPrefix(string(blob), "cell,mesh") {
+		t.Fatalf("sweep CSV lost its header: %q", blob)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -27,6 +27,7 @@ import (
 
 	"potsim/internal/checkpoint"
 	"potsim/internal/core"
+	"potsim/internal/expt"
 	"potsim/internal/prof"
 	"potsim/internal/sim"
 	"potsim/internal/tech"
@@ -64,7 +65,7 @@ func run(args []string) error {
 		faults   = fs.Bool("faults", false, "enable stochastic fault injection")
 		nocMode  = fs.String("noc", "txn", "interconnect mode: txn (analytic) or flit (co-simulated)")
 		decomm   = fs.Bool("decommission", false, "retire cores whose faults are detected")
-		cfgPath  = fs.String("config", "", "JSON config file (flags override its values)")
+		cfgPath  = fs.String("config", "", "JSON config file (flags given on the command line override its values)")
 		wlTrace  = fs.String("workload", "", "replay a recorded workload trace (JSONL)")
 		recTrace = fs.String("record", "", "record this run's arrivals as a JSONL trace")
 		bursty   = fs.Bool("bursty", false, "modulate arrivals with on/off burst phases")
@@ -115,26 +116,40 @@ func run(args []string) error {
 	if _, err := fmt.Sscanf(strings.ToLower(*mesh), "%dx%d", &w, &h); err != nil {
 		return fmt.Errorf("bad -mesh %q: %v", *mesh, err)
 	}
-	cfg.Width, cfg.Height = w, h
 	n, err := tech.ByName(*node)
 	if err != nil {
 		return err
 	}
-	cfg.Node = n
-	cfg.TestPolicy = core.TestPolicyKind(strings.ToLower(*policy))
-	cfg.MapperName = *mapper
-	cfg.Horizon = sim.FromDuration(*horizon)
-	cfg.MeanInterarrival = sim.FromDuration(*iat)
-	cfg.TDPFraction = *tdpFrac
-	cfg.TDPWatts = *tdpWatts
-	cfg.DVFSLevels = *levels
-	cfg.Seed = *seed
-	cfg.EnableFaults = *faults
-	cfg.NoCMode = *nocMode
-	cfg.DecommissionOnDetect = *decomm
-	cfg.TracePath = *wlTrace
-	cfg.RecordTracePath = *recTrace
-	cfg.NoCTopology = *topology
+	apply := map[string]func(){
+		"mesh":         func() { cfg.Width, cfg.Height = w, h },
+		"node":         func() { cfg.Node = n },
+		"policy":       func() { cfg.TestPolicy = core.TestPolicyKind(strings.ToLower(*policy)) },
+		"mapper":       func() { cfg.MapperName = *mapper },
+		"horizon":      func() { cfg.Horizon = sim.FromDuration(*horizon) },
+		"interarrival": func() { cfg.MeanInterarrival = sim.FromDuration(*iat) },
+		"tdp-frac":     func() { cfg.TDPFraction = *tdpFrac },
+		"tdp-watts":    func() { cfg.TDPWatts = *tdpWatts },
+		"levels":       func() { cfg.DVFSLevels = *levels },
+		"seed":         func() { cfg.Seed = *seed },
+		"faults":       func() { cfg.EnableFaults = *faults },
+		"noc":          func() { cfg.NoCMode = *nocMode },
+		"decommission": func() { cfg.DecommissionOnDetect = *decomm },
+		"workload":     func() { cfg.TracePath = *wlTrace },
+		"record":       func() { cfg.RecordTracePath = *recTrace },
+		"topology":     func() { cfg.NoCTopology = *topology },
+	}
+	// Without -config every flag's value applies, defaults included; a
+	// config file is overridden only by the flags given on the command
+	// line.
+	visit := fs.VisitAll
+	if *cfgPath != "" {
+		visit = fs.Visit
+	}
+	visit(func(f *flag.Flag) {
+		if set := apply[f.Name]; set != nil {
+			set()
+		}
+	})
 	if *guardPol != "" {
 		cfg.GuardPolicy = *guardPol
 	}
@@ -148,36 +163,25 @@ func run(args []string) error {
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume needs -checkpoint-dir")
 	}
-
-	sys, err := core.New(cfg)
-	if err != nil {
-		return err
-	}
-
-	var ckptPath string
+	var opts expt.CellOptions
 	if *ckptDir != "" {
+		if cfg.NoCMode == "flit" {
+			return fmt.Errorf("-checkpoint-dir needs the txn interconnect: a flit-mode run cannot be snapshotted (in-flight network state is not serializable)")
+		}
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			return err
 		}
-		ckptPath = filepath.Join(*ckptDir, "potsim.ckpt")
 		// Cadence 0 still flushes a final snapshot on interrupt, which is
 		// all a resumable Ctrl-C needs.
-		sys.CheckpointEvery(*ckptEvry, func(snap *core.Snapshot) error {
-			return checkpoint.Save(ckptPath, core.SnapshotKind, core.SnapshotVersion, snap)
-		})
-	}
-	if *resume {
-		var snap core.Snapshot
-		err := checkpoint.Load(ckptPath, core.SnapshotKind, core.SnapshotVersion, &snap)
-		switch {
-		case err == nil:
-			if err := sys.Restore(&snap); err != nil {
-				return err
+		opts = expt.CellOptions{
+			CheckpointPath:  filepath.Join(*ckptDir, "potsim.ckpt"),
+			CheckpointEvery: *ckptEvry,
+			Resume:          *resume,
+		}
+		if *resume {
+			if _, err := os.Stat(opts.CheckpointPath); os.IsNotExist(err) {
+				fmt.Fprintf(os.Stderr, "potsim: no snapshot at %s; starting fresh\n", opts.CheckpointPath)
 			}
-		case os.IsNotExist(err):
-			fmt.Fprintf(os.Stderr, "potsim: no snapshot at %s; starting fresh\n", ckptPath)
-		default:
-			return err
 		}
 	}
 
@@ -186,26 +190,26 @@ func run(args []string) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(),
 		os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	go func() {
-		<-ctx.Done()
-		sys.RequestStop()
-	}()
+	var sys *core.System
+	opts.Attach = func(s *core.System) {
+		sys = s
+		go func() {
+			<-ctx.Done()
+			s.RequestStop()
+		}()
+	}
 
+	// The signal context stays out of ExecuteCell: cancellation would fail
+	// the run without a snapshot, where a signal asks for a graceful stop.
 	start := time.Now()
-	rep, err := sys.Run()
+	rep, err := expt.ExecuteCell(context.Background(), cfg, opts)
 	if err != nil {
-		if errors.Is(err, core.ErrInterrupted) && ckptPath != "" {
+		if errors.Is(err, core.ErrInterrupted) && opts.CheckpointPath != "" {
 			fmt.Fprintf(os.Stderr,
 				"potsim: interrupted; state saved to %s — continue with -checkpoint-dir %s -resume\n",
-				ckptPath, *ckptDir)
+				opts.CheckpointPath, *ckptDir)
 		}
 		return err
-	}
-	if ckptPath != "" {
-		// The run completed: its snapshot must not feed a later -resume.
-		if rmErr := os.Remove(ckptPath); rmErr != nil && !os.IsNotExist(rmErr) {
-			return rmErr
-		}
 	}
 	if *events != "" {
 		var buf bytes.Buffer

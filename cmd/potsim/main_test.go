@@ -34,6 +34,33 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+
+	// A flit-mode run cannot be snapshotted, so -checkpoint-dir is
+	// refused before the run starts, whether flit comes from the
+	// command line or from the -config file.
+	cfg := core.DefaultConfig()
+	cfg.NoCMode = "flit"
+	blob, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flitCfg := filepath.Join(t.TempDir(), "flit.json")
+	if err := os.WriteFile(flitCfg, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	for _, args := range [][]string{
+		{"-noc", "flit", "-checkpoint-dir", ckptDir, "-horizon", "10ms"},
+		{"-config", flitCfg, "-checkpoint-dir", ckptDir, "-horizon", "10ms"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flit") {
+			t.Errorf("args %v: got %v, want a flit-mode checkpoint error", args, err)
+		}
+	}
+	if _, err := os.Stat(ckptDir); !os.IsNotExist(err) {
+		t.Errorf("rejected flit run touched its checkpoint dir: %v", err)
+	}
 }
 
 func TestRunWithTraceAndHistogram(t *testing.T) {
@@ -48,6 +75,8 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 }
 
+// TestRunConfigFile: a -config file's values survive every flag the
+// command line does not give — only -horizon is passed here.
 func TestRunConfigFile(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Width, cfg.Height = 6, 6
@@ -59,8 +88,34 @@ func TestRunConfigFile(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-config", path, "-mesh", "6x6", "-horizon", "10ms"}); err != nil {
-		t.Fatal(err)
+	inputs := []string{path}
+	for _, name := range []string{"default-16nm", "failstop", "large-1024", "tight-budget"} {
+		inputs = append(inputs, filepath.Join("..", "..", "configs", name+".json"))
+	}
+	for _, in := range inputs {
+		file, err := os.ReadFile(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.DefaultConfig()
+		if err := json.Unmarshal(file, &want); err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		out, err := captureStdout(t, func() error {
+			return run([]string{"-config", in, "-horizon", "1ms", "-json"})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		var rep core.Report
+		if err := json.Unmarshal([]byte(out), &rep); err != nil {
+			t.Fatalf("%s: report is not JSON: %v", in, err)
+		}
+		got := rep.Config
+		if got.Width != want.Width || got.Height != want.Height || got.EnableFaults != want.EnableFaults {
+			t.Errorf("%s: ran %dx%d faults=%v, file says %dx%d faults=%v", in,
+				got.Width, got.Height, got.EnableFaults, want.Width, want.Height, want.EnableFaults)
+		}
 	}
 	if err := run([]string{"-config", "/does/not/exist.json"}); err == nil {
 		t.Error("missing config file accepted")

@@ -44,15 +44,15 @@ type Engine struct {
 	// which the engine then quarantines as class "guard").
 	GuardPolicy string
 
-	// CellTimeout, Retries, RetryBackoff and RetryBackoffMax are the
-	// per-cell robustness budget, applied around the whole cell (policy
-	// run plus its NoTest reference run). Panics, timeouts and guard
-	// violations are never retried — they are deterministic in this
-	// simulator, so retrying only delays the quarantine verdict.
-	CellTimeout     time.Duration
-	Retries         int
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
+	// CellTimeout, Retries and RetryBackoff are the per-cell robustness
+	// budget, applied around the whole cell (policy run plus its NoTest
+	// reference run); the backoff doubles per retry up to batch's
+	// default cap. Panics, timeouts and guard violations are never
+	// retried — they are deterministic in this simulator, so retrying
+	// only delays the quarantine verdict.
+	CellTimeout  time.Duration
+	Retries      int
+	RetryBackoff time.Duration
 
 	// Chaos, when set, injects failures into matching cells (tests and
 	// the CI smoke only).
@@ -93,18 +93,21 @@ type Status struct {
 }
 
 // CellMetrics is the journaled outcome of one successful cell: the
-// handful of aggregates the frontier and the report need, never the
-// full report — outcome storage stays bounded however large the space
-// is, and cell coordinates are regenerated from the index on demand.
+// handful of aggregates the frontier, the report and the result store
+// need, never the full report — outcome storage stays bounded however
+// large the space is, and cell coordinates are regenerated from the
+// index on demand. DetectLatencyMS (mean fault-detection latency, 0
+// when nothing was detected) is stored but is not an objective.
 type CellMetrics struct {
-	PenaltyPct    float64 `json:"penaltyPct"`
-	CoveragePct   float64 `json:"coveragePct"`
-	PeakTempK     float64 `json:"peakTempK"`
-	HeadroomW     float64 `json:"headroomW"`
-	MeanPowerW    float64 `json:"meanPowerW"`
-	TDPWatts      float64 `json:"tdpWatts"`
-	TestEnergyPct float64 `json:"testEnergyPct"`
-	TasksPerSec   float64 `json:"tasksPerSec"`
+	PenaltyPct      float64 `json:"penaltyPct"`
+	CoveragePct     float64 `json:"coveragePct"`
+	PeakTempK       float64 `json:"peakTempK"`
+	HeadroomW       float64 `json:"headroomW"`
+	MeanPowerW      float64 `json:"meanPowerW"`
+	TDPWatts        float64 `json:"tdpWatts"`
+	TestEnergyPct   float64 `json:"testEnergyPct"`
+	TasksPerSec     float64 `json:"tasksPerSec"`
+	DetectLatencyMS float64 `json:"detectLatencyMS"`
 }
 
 // Objectives maps the metrics onto the minimised objective vector. The
@@ -254,13 +257,15 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// stageMeta fingerprints one stage for its journal: spec content hash,
-// stage name, horizon, cell count, guard policy and (for the full
-// stage) the survivor set. Workers are deliberately absent — they do
-// not affect results, and a campaign must be resumable under a
-// different parallelism than it was started with.
+// stageMeta fingerprints one stage for its journal: the CellMetrics
+// schema version, spec content hash, stage name, horizon, cell count,
+// guard policy and (for the full stage) the survivor set. The schema
+// token makes a journal written before a metric was added fail to
+// resume instead of replaying that metric as zero. Workers are
+// deliberately absent — they do not affect results, and a campaign must
+// be resumable under a different parallelism than it was started with.
 func (e *Engine) stageMeta(fp, stage string, horizon sim.Time, n int, survivors []int64) string {
-	meta := fmt.Sprintf("dse campaign=%s spec=%s stage=%s horizon=%d n=%d guard=%q",
+	meta := fmt.Sprintf("dse metrics=2 campaign=%s spec=%s stage=%s horizon=%d n=%d guard=%q",
 		e.Spec.Name, fp, stage, int64(horizon), n, e.GuardPolicy)
 	if survivors != nil {
 		h := sha256.New()
@@ -298,11 +303,10 @@ func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, h
 	e.beginStage(stage, n, len(cached))
 
 	cellOpts := batch.Options{
-		CellTimeout:     e.CellTimeout,
-		Retries:         e.Retries,
-		RetryBackoff:    e.RetryBackoff,
-		RetryBackoffMax: e.RetryBackoffMax,
-		RetryIf:         func(err error) bool { return !unretryable(err) },
+		CellTimeout:  e.CellTimeout,
+		Retries:      e.Retries,
+		RetryBackoff: e.RetryBackoff,
+		RetryIf:      func(err error) bool { return !unretryable(err) },
 	}
 	mapOpts := batch.Options{
 		Workers:    e.Workers,
@@ -353,16 +357,9 @@ func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, h
 func (e *Engine) runCellPair(ctx context.Context, space *Space, p Point, horizon sim.Time, opts batch.Options) (*CellMetrics, error) {
 	return batch.Run(ctx, opts, func(ctx context.Context) (*CellMetrics, error) {
 		cfg := e.cellConfig(space, p, horizon)
-		run := func() (*core.Report, error) {
+		rep, err := e.Chaos.Run(ctx, p.Label(), func() (*core.Report, error) {
 			return expt.ExecuteCell(ctx, cfg, expt.CellOptions{})
-		}
-		var rep *core.Report
-		var err error
-		if e.Chaos != nil && e.Chaos.Matches(p.Label()) {
-			rep, err = e.Chaos.Run(ctx, p.Label(), run)
-		} else {
-			rep, err = run()
-		}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -381,14 +378,15 @@ func (e *Engine) runCellPair(ctx context.Context, space *Space, p Point, horizon
 			}
 		}
 		return &CellMetrics{
-			PenaltyPct:    100 * rep.ThroughputPenalty(ref),
-			CoveragePct:   100 * rep.LevelCoverage,
-			PeakTempK:     rep.PeakTempK,
-			HeadroomW:     rep.TDPWatts - rep.MeanPowerW,
-			MeanPowerW:    rep.MeanPowerW,
-			TDPWatts:      rep.TDPWatts,
-			TestEnergyPct: 100 * rep.TestEnergyShare,
-			TasksPerSec:   rep.ThroughputTasksPerSec,
+			PenaltyPct:      100 * rep.ThroughputPenalty(ref),
+			CoveragePct:     100 * rep.LevelCoverage,
+			PeakTempK:       rep.PeakTempK,
+			HeadroomW:       rep.TDPWatts - rep.MeanPowerW,
+			MeanPowerW:      rep.MeanPowerW,
+			TDPWatts:        rep.TDPWatts,
+			TestEnergyPct:   100 * rep.TestEnergyShare,
+			TasksPerSec:     rep.ThroughputTasksPerSec,
+			DetectLatencyMS: rep.FaultStats.MeanLatency.Millis(),
 		}, nil
 	})
 }

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -34,6 +35,20 @@ func TestParseSpecAcceptsValid(t *testing.T) {
 	}
 	if got := sp.Count(); got != 2*1*1*1*2*2 {
 		t.Fatalf("Count() = %d, want 8", got)
+	}
+
+	// Every shipped campaign spec must load too.
+	shipped, err := filepath.Glob(filepath.Join("..", "..", "configs", "campaign-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shipped) == 0 {
+		t.Fatal("no configs/campaign-*.json found")
+	}
+	for _, path := range append(shipped, filepath.Join("..", "..", "configs", "sweep-16nm.json")) {
+		if _, err := LoadSpec(path); err != nil {
+			t.Errorf("shipped spec rejected: %v", err)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // storeSchema is the per-stage cell-outcome schema: the cell's
-// coordinates, its verdict, then the eight outcome metrics. Quarantined
+// coordinates, its verdict, then the nine outcome metrics. Quarantined
 // cells keep their coordinate columns and carry NaN metrics — a gap is
 // an explicit row, never a missing one, so Rows() always equals the
 // stage's cell count and a query can filter on status.
@@ -32,6 +32,7 @@ var storeSchema = results.Schema{
 	{Name: "tdpWatts", Kind: results.Float64},
 	{Name: "testEnergyPct", Kind: results.Float64},
 	{Name: "tasksPerSec", Kind: results.Float64},
+	{Name: "detectLatencyMS", Kind: results.Float64},
 }
 
 // StageStorePath is the columnar result store holding one stage's cell
@@ -77,6 +78,7 @@ func (e *Engine) writeStageStore(space *Space, stage, stageMeta string, indexes 
 			PeakTempK: math.NaN(), HeadroomW: math.NaN(),
 			MeanPowerW: math.NaN(), TDPWatts: math.NaN(),
 			TestEnergyPct: math.NaN(), TasksPerSec: math.NaN(),
+			DetectLatencyMS: math.NaN(),
 		}
 		switch {
 		case out.Q != nil:
@@ -102,6 +104,7 @@ func (e *Engine) writeStageStore(space *Space, stage, stageMeta string, indexes 
 		row[13] = results.FloatVal(m.TDPWatts)
 		row[14] = results.FloatVal(m.TestEnergyPct)
 		row[15] = results.FloatVal(m.TasksPerSec)
+		row[16] = results.FloatVal(m.DetectLatencyMS)
 		if err := ap.Append(row); err != nil {
 			return err
 		}

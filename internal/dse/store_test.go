@@ -5,10 +5,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"potsim/internal/batch"
 	"potsim/internal/expt"
 	"potsim/internal/results"
+	"potsim/internal/sim"
 )
 
 // readStoreRows scans one stage store into memory for assertions.
@@ -69,6 +72,7 @@ func TestCampaignStoreHoldsEveryCellOutcome(t *testing.T) {
 	// exactly — the store is a projection of the same outcomes.
 	pi := fullSt.Schema().Col("penaltyPct")
 	si := fullSt.Schema().Col("status")
+	li := fullSt.Schema().Col("detectLatencyMS")
 	byCell := map[int64][]results.Value{}
 	for _, row := range fullRows {
 		byCell[row[fullSt.Schema().Col("cell")].Int] = row
@@ -84,6 +88,73 @@ func TestCampaignStoreHoldsEveryCellOutcome(t *testing.T) {
 		if row[pi].F != fr.Metrics.PenaltyPct { //potlint:floateq the store must hold the exact bits
 			t.Fatalf("frontier cell %d penalty %v != stored %v", fr.Point.Index, fr.Metrics.PenaltyPct, row[pi].F)
 		}
+		if got := row[li].F; got != fr.Metrics.DetectLatencyMS { //potlint:floateq the store must hold the exact bits
+			t.Fatalf("frontier cell %d detection latency %v != stored %v", fr.Point.Index, fr.Metrics.DetectLatencyMS, got)
+		}
+	}
+}
+
+// TestCampaignStoreDetectLatencyWithFaults: with fault injection on,
+// every ok row of the full-stage store carries a finite mean detection
+// latency, and at least one cell detected a fault.
+func TestCampaignStoreDetectLatencyWithFaults(t *testing.T) {
+	spec := testSpec(t, false)
+	spec.EnableFaults, spec.FaultRatePerSec = true, 50
+	storeDir := t.TempDir()
+	runCampaign(t, &Engine{Spec: spec, Dir: t.TempDir(), Workers: 2, StoreDir: storeDir})
+	st, rows := readStoreRows(t, StageStorePath(storeDir, "full"))
+	si, li := st.Schema().Col("status"), st.Schema().Col("detectLatencyMS")
+	if li < 0 {
+		t.Fatal("store schema lacks detectLatencyMS")
+	}
+	var detected int
+	for _, row := range rows {
+		if row[si].Str != "ok" {
+			t.Fatalf("cell %d stored with status %q", row[0].Int, row[si].Str)
+		}
+		lat := row[li].F
+		if math.IsNaN(lat) || math.IsInf(lat, 0) || lat < 0 {
+			t.Fatalf("ok row carries detection latency %v", lat)
+		}
+		if lat > 0 {
+			detected++
+		}
+	}
+	if detected == 0 {
+		t.Fatal("no cell recorded a detection latency with faults on")
+	}
+}
+
+// TestCampaignResumeRejectsPreLatencyJournal: a journal whose meta lacks
+// the metrics schema token — one written before detectLatencyMS was
+// journaled — is refused on resume, not replayed with zero latencies.
+func TestCampaignResumeRejectsPreLatencyJournal(t *testing.T) {
+	spec := testSpec(t, false)
+	dir := t.TempDir()
+	e := &Engine{Spec: spec, Dir: dir, Resume: true}
+	space, err := NewSpace(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := spec.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := e.stageMeta(fp, "full", sim.FromSeconds(spec.HorizonMS/1000), int(space.Count()), nil)
+	old := strings.Replace(meta, "metrics=2 ", "", 1)
+	if old == meta {
+		t.Fatalf("stage meta %q carries no metrics token", meta)
+	}
+	j, _, err := batch.OpenJournal(filepath.Join(dir, "full.journal"), old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "different suite") {
+		t.Fatalf("resume over a pre-latency journal: got %v, want a meta mismatch", err)
 	}
 }
 
@@ -102,12 +173,13 @@ func TestCampaignStoreQuarantineRowsAreNaNGaps(t *testing.T) {
 	}
 	st, rows := readStoreRows(t, StageStorePath(storeDir, "full"))
 	si, pi := st.Schema().Col("status"), st.Schema().Col("penaltyPct")
+	li := st.Schema().Col("detectLatencyMS")
 	var gaps int
 	for _, row := range rows {
 		if row[si].Str == "quarantined:panic" {
 			gaps++
-			if !math.IsNaN(row[pi].F) {
-				t.Fatalf("quarantined row carries a real metric: %v", row[pi].F)
+			if !math.IsNaN(row[pi].F) || !math.IsNaN(row[li].F) {
+				t.Fatalf("quarantined row carries a real metric: penalty %v, latency %v", row[pi].F, row[li].F)
 			}
 		}
 	}

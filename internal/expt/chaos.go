@@ -20,17 +20,13 @@ type Chaos struct {
 	// blocks until its context is cancelled — pair with a cell timeout),
 	// "nan" (cell runs normally, then its report is NaN-poisoned so the
 	// sanity gate must reject it), "error" (cell fails immediately), or
-	// "flaky" (cell fails its first FlakyFailures attempts, then runs
-	// normally — pair with retries).
+	// "flaky" (cell fails its first attempt, then runs normally — pair
+	// with retries).
 	Mode string
 
 	// Match restricts injection to cells whose label contains the
 	// substring; empty targets every cell.
 	Match string
-
-	// FlakyFailures is how many attempts of a flaky cell fail before it
-	// succeeds; values <= 0 mean 1.
-	FlakyFailures int
 
 	mu   sync.Mutex
 	seen map[string]int // per-label attempt counts for flaky mode
@@ -57,20 +53,13 @@ func (c *Chaos) matches(label string) bool {
 	return c.Match == "" || strings.Contains(label, c.Match)
 }
 
-// Matches reports whether the cell labelled label is targeted for
-// injection. It is the exported form of the harness-internal matcher,
-// for external cell executors (the DSE campaign engine).
-func (c *Chaos) Matches(label string) bool { return c.matches(label) }
-
-// Run executes one targeted cell with the injected failure; real is the
-// untampered simulation. Callers must only pass cells Matches accepted.
+// Run executes one cell; real is the untampered simulation. Cells the
+// receiver does not target run real unchanged, and so does every cell
+// when the receiver is nil, so cell executors call it unconditionally.
 func (c *Chaos) Run(ctx context.Context, label string, real func() (*core.Report, error)) (*core.Report, error) {
-	return c.run(ctx, label, real)
-}
-
-// run executes one targeted cell with the injected failure; real is the
-// untampered simulation.
-func (c *Chaos) run(ctx context.Context, label string, real func() (*core.Report, error)) (*core.Report, error) {
+	if c == nil || !c.matches(label) {
+		return real()
+	}
 	switch c.Mode {
 	case "panic":
 		panic(fmt.Sprintf("chaos: injected panic in %s", label))
@@ -88,14 +77,10 @@ func (c *Chaos) run(ctx context.Context, label string, real func() (*core.Report
 			c.seen = make(map[string]int)
 		}
 		c.seen[label]++
-		attempt := c.seen[label]
+		first := c.seen[label] == 1
 		c.mu.Unlock()
-		limit := c.FlakyFailures
-		if limit <= 0 {
-			limit = 1
-		}
-		if attempt <= limit {
-			return nil, fmt.Errorf("chaos: transient failure (attempt %d) in %s", attempt, label)
+		if first {
+			return nil, fmt.Errorf("chaos: transient failure in %s", label)
 		}
 		return real()
 	case "nan":

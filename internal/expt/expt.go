@@ -210,19 +210,14 @@ func (r *Runner) cellCheckpointPath(id string, i int) string {
 	return filepath.Join(r.CheckpointDir, fmt.Sprintf("%s.cell%d.ckpt", id, i))
 }
 
-// runCell executes one cell, applying chaos injection when configured
-// and gating the result through the report sanity check so a numerically
-// poisoned run surfaces as that cell's failure rather than as NaNs in a
-// rendered table.
+// runCell executes one cell, applying chaos injection when configured.
+// ExecuteCell sanity-gates the genuine run; the re-check here catches a
+// chaos-poisoned report (nan mode), so it surfaces as that cell's
+// failure rather than as NaNs in a rendered table.
 func (r *Runner) runCell(ctx context.Context, id string, idx int, ckptPath string, c cell) (*core.Report, error) {
-	real := func() (*core.Report, error) { return r.run(ctx, id, idx, ckptPath, c.cfg) }
-	var rep *core.Report
-	var err error
-	if r.Chaos != nil && r.Chaos.matches(c.label) {
-		rep, err = r.Chaos.run(ctx, c.label, real)
-	} else {
-		rep, err = real()
-	}
+	rep, err := r.Chaos.Run(ctx, c.label, func() (*core.Report, error) {
+		return r.run(ctx, id, idx, ckptPath, c.cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -290,8 +285,10 @@ func (r *Runner) run(ctx context.Context, id string, idx int, ckptPath string, c
 		Resume:          r.Resume,
 	}
 	if r.OnCellEpoch != nil {
-		opts.OnEpoch = func(epoch int64, now sim.Time) {
-			r.OnCellEpoch(id, idx, epoch, now)
+		opts.Attach = func(sys *core.System) {
+			sys.OnEpoch(func(epoch int64, now sim.Time) {
+				r.OnCellEpoch(id, idx, epoch, now)
+			})
 		}
 	}
 	return ExecuteCell(ctx, cfg, opts)
@@ -299,43 +296,41 @@ func (r *Runner) run(ctx context.Context, id string, idx int, ckptPath string, c
 
 // CellOptions configures one ExecuteCell invocation.
 type CellOptions struct {
-	// CheckpointPath, when non-empty, makes the run snapshot its state
-	// there every CheckpointEvery epochs; under Resume it continues from
-	// the latest surviving snapshot instead of starting over.
+	// CheckpointPath, when non-empty, makes the run durable: it snapshots
+	// its state there every CheckpointEvery epochs (0: only when
+	// RequestStop ends the run) and, under Resume, continues from the
+	// surviving snapshot instead of starting over.
 	CheckpointPath  string
 	CheckpointEvery int64
 	Resume          bool
-	// OnEpoch, when non-nil, observes every integrated epoch (it runs on
-	// the simulation goroutine — keep it fast).
-	OnEpoch func(epoch int64, now sim.Time)
+	// Attach, when non-nil, receives the assembled system after restore
+	// and sink installation, just before Run: the place to install an
+	// epoch observer or hand out the stop and guard-export hooks.
+	Attach func(*core.System)
 }
 
-// ExecuteCell is the shared cell-execution entrypoint: it runs one
-// simulation configuration to completion and gates the result through
-// the report sanity check, so a numerically poisoned run surfaces as an
-// error instead of NaNs in downstream aggregation. The experiment
-// harness and the DSE campaign engine both funnel their cells through
-// it. The context, when non-nil, cancels the run at its next epoch
-// boundary, so batch cancellation and cell timeouts reach in-flight
-// simulations promptly instead of waiting them out. Flit-mode cells
-// cannot snapshot (in-flight network state is not serializable) and run
-// without mid-cell checkpoints; a cell journal still covers them.
+// ExecuteCell is the one way to run a simulation: it builds the system,
+// restores it from a surviving snapshot, installs the snapshot sink,
+// runs it, deletes the finished run's snapshot and gates the result
+// through the report sanity check, so a numerically poisoned run
+// surfaces as an error instead of NaNs downstream. The experiment
+// harness, the DSE campaign engine, potsimd's sim jobs and cmd/potsim
+// all run through it. The context, when non-nil, cancels the run at its
+// next epoch boundary, so batch cancellation and cell timeouts reach
+// in-flight simulations promptly instead of waiting them out. Flit-mode
+// runs cannot snapshot (in-flight network state is not serializable)
+// and run without durability; a cell journal still covers them.
 func ExecuteCell(ctx context.Context, cfg core.Config, opts CellOptions) (*core.Report, error) {
 	sys, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if ctx != nil {
-		sys.SetContext(ctx)
-	}
-	if opts.OnEpoch != nil {
-		sys.OnEpoch(opts.OnEpoch)
-	}
+	sys.SetContext(ctx)
 	ckptPath := opts.CheckpointPath
-	if ckptPath != "" && opts.CheckpointEvery <= 0 {
+	if cfg.NoCMode == "flit" {
 		ckptPath = ""
 	}
-	if ckptPath != "" && cfg.NoCMode != "flit" {
+	if ckptPath != "" {
 		if opts.Resume {
 			var snap core.Snapshot
 			err := checkpoint.Load(ckptPath, core.SnapshotKind, core.SnapshotVersion, &snap)
@@ -345,7 +340,7 @@ func ExecuteCell(ctx context.Context, cfg core.Config, opts CellOptions) (*core.
 					return nil, err
 				}
 			case os.IsNotExist(err):
-				// No snapshot survived; the cell starts from scratch.
+				// No snapshot survived; the run starts from scratch.
 			default:
 				return nil, err
 			}
@@ -354,13 +349,16 @@ func ExecuteCell(ctx context.Context, cfg core.Config, opts CellOptions) (*core.
 			return checkpoint.Save(ckptPath, core.SnapshotKind, core.SnapshotVersion, snap)
 		})
 	}
+	if opts.Attach != nil {
+		opts.Attach(sys)
+	}
 	rep, err := sys.Run()
 	if err != nil {
 		return rep, err
 	}
 	if ckptPath != "" {
-		// The cell finished: its snapshot must not shadow a later fresh
-		// run of the same cell index.
+		// The run finished: its snapshot must not shadow a later fresh
+		// run of the same cell.
 		if rmErr := os.Remove(ckptPath); rmErr != nil && !os.IsNotExist(rmErr) {
 			return nil, rmErr
 		}
@@ -425,18 +423,6 @@ func ValidID(id string) bool {
 		}
 	}
 	return false
-}
-
-// RunJob is the service-facing entrypoint: it executes one experiment
-// with the given context scoping cancellation, leaving the receiver
-// untouched (the runner value is copied, so one configured template
-// Runner can serve many concurrent jobs). The runner's durability
-// fields (CheckpointDir/Resume/CheckpointEvery) give each job its
-// journal and snapshots; Progress and OnCellEpoch stream its progress.
-func (r *Runner) RunJob(ctx context.Context, id string) (*Result, error) {
-	rr := *r
-	rr.Ctx = ctx
-	return rr.Run(id)
 }
 
 // Run dispatches one experiment by ID.

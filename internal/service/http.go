@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 )
 
 // maxSpecBytes bounds submission bodies; a spec is a small JSON
@@ -59,7 +58,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if s.Draining() {
-			w.Header().Set("Retry-After", s.retryAfter())
+			w.Header().Set("Retry-After", retryAfter)
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
@@ -83,13 +82,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the status line is committed; nothing left to do
 }
 
-func (s *Server) retryAfter() string {
-	secs := int(s.cfg.RetryAfter.Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the Retry-After hint, in seconds, handed to rejected
+// clients.
+const retryAfter = "1"
+
+// subscriberBuffer is the per-SSE-subscriber event buffer: a reader that
+// falls further behind loses progress granularity and, if it stalls
+// outright, the stream.
+const subscriberBuffer = 128
 
 // submitResponse is the body of a successful submission.
 type submitResponse struct {
@@ -120,11 +120,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantLimit):
-		w.Header().Set("Retry-After", s.retryAfter())
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
 		return
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", s.retryAfter())
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
 	default:
@@ -203,7 +203,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "streaming unsupported"})
 		return
 	}
-	sub := job.Subscribe(s.cfg.SubscriberBuffer)
+	sub := job.Subscribe(subscriberBuffer)
 	defer sub.Close()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

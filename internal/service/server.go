@@ -112,13 +112,6 @@ type Config struct {
 	Retries      int
 	RetryBackoff time.Duration
 
-	// RetryAfter is the hint handed to rejected clients. Default 1s.
-	RetryAfter time.Duration
-	// SubscriberBuffer is the per-SSE-subscriber event buffer. Default
-	// 128; a reader that falls further behind loses progress granularity
-	// and, if it stalls outright, the stream.
-	SubscriberBuffer int
-
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -138,12 +131,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.CheckpointEvery < 0 {
 		c.CheckpointEvery = 0 // core: 0 = snapshot only on RequestStop
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = 128
 	}
 }
 
@@ -866,56 +853,34 @@ func (s *Server) release(job *Job) {
 // simulation goroutine.
 const progressEvery = 32
 
-// runSim executes a sim job, resuming from its snapshot when one
-// survives and checkpointing as it goes.
+// runSim executes a sim job through expt.ExecuteCell, resuming from its
+// snapshot when one survives and checkpointing as it goes.
 func (s *Server) runSim(ctx context.Context, job *Job) (ResultDoc, error) {
-	cfg := job.simCfg
-	sys, err := core.New(cfg)
-	if err != nil {
-		return ResultDoc{}, err
-	}
-	if ctx != nil {
-		sys.SetContext(ctx)
-	}
-	sys.OnEpoch(func(epoch int64, now sim.Time) {
-		if epoch%progressEvery == 0 {
-			job.publishProgress(epoch, now.Millis())
-		}
-	})
-	ckpt := ""
-	if job.dir != "" && cfg.NoCMode != "flit" {
-		ckpt = filepath.Join(job.dir, "sim.ckpt")
-		var snap core.Snapshot
-		switch lerr := checkpoint.Load(ckpt, core.SnapshotKind, core.SnapshotVersion, &snap); {
-		case lerr == nil:
-			if err := sys.Restore(&snap); err != nil {
-				return ResultDoc{}, err
+	opts := expt.CellOptions{
+		CheckpointEvery: s.cfg.CheckpointEvery,
+		Resume:          true,
+		Attach: func(sys *core.System) {
+			sys.OnEpoch(func(epoch int64, now sim.Time) {
+				if epoch%progressEvery == 0 {
+					job.publishProgress(epoch, now.Millis())
+				}
+			})
+			job.setHooks(sys.RequestStop, sys.GuardExport)
+			if job.wasStopRequested() {
+				sys.RequestStop() // drain won the race with hook installation
 			}
-		case os.IsNotExist(lerr):
-			// Fresh run.
-		default:
-			return ResultDoc{}, lerr
-		}
-		sys.CheckpointEvery(s.cfg.CheckpointEvery, func(snap *core.Snapshot) error {
-			return checkpoint.Save(ckpt, core.SnapshotKind, core.SnapshotVersion, snap)
-		})
+		},
 	}
-	job.setHooks(sys.RequestStop, sys.GuardExport)
-	if job.wasStopRequested() {
-		sys.RequestStop() // drain won the race with hook installation
+	if job.dir != "" {
+		opts.CheckpointPath = filepath.Join(job.dir, "sim.ckpt")
 	}
-	rep, err := sys.Run()
+	rep, err := expt.ExecuteCell(ctx, job.simCfg, opts)
 	if err != nil {
 		return ResultDoc{}, err
 	}
 	blob, err := rep.JSON()
 	if err != nil {
 		return ResultDoc{}, err
-	}
-	if ckpt != "" {
-		if rmErr := os.Remove(ckpt); rmErr != nil && !os.IsNotExist(rmErr) {
-			return ResultDoc{}, rmErr
-		}
 	}
 	return ResultDoc{
 		Kind:            KindSim,
@@ -933,6 +898,7 @@ func (s *Server) runSuite(ctx context.Context, job *Job) (ResultDoc, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &expt.Runner{
+		Ctx:             sctx,
 		Quick:           job.Spec.Quick,
 		BaseSeed:        job.Spec.BaseSeed,
 		GuardPolicy:     strings.ToLower(job.Spec.GuardPolicy),
@@ -962,7 +928,7 @@ func (s *Server) runSuite(ctx context.Context, job *Job) (ResultDoc, error) {
 	if job.wasStopRequested() {
 		cancel()
 	}
-	res, err := r.RunJob(sctx, strings.ToUpper(strings.TrimSpace(job.Spec.Experiment)))
+	res, err := r.Run(strings.TrimSpace(job.Spec.Experiment))
 	if err != nil {
 		return ResultDoc{}, err
 	}

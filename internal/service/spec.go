@@ -9,6 +9,7 @@ import (
 
 	"potsim/internal/core"
 	"potsim/internal/expt"
+	"potsim/internal/guard"
 )
 
 // Job kinds.
@@ -91,12 +92,8 @@ func (s *JobSpec) Validate() error {
 		if !expt.ValidID(s.Experiment) {
 			return fmt.Errorf("service: unknown experiment %q (have %v)", s.Experiment, expt.IDs())
 		}
-		if s.GuardPolicy != "" {
-			switch strings.ToLower(s.GuardPolicy) {
-			case "panic", "error", "log", "continue", "log-and-continue":
-			default:
-				return fmt.Errorf("service: unknown guard policy %q", s.GuardPolicy)
-			}
+		if _, err := guard.ParsePolicy(s.GuardPolicy); err != nil {
+			return fmt.Errorf("service: %w", err)
 		}
 		return nil
 	case "":
