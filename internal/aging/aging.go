@@ -107,6 +107,7 @@ type Tracker struct {
 
 type coreAging struct {
 	effStressSec float64 // acceleration-weighted stress seconds
+	stress       float64 //potlint:nosnap derived: Stress of effStressSec, recomputed by Advance and Restore
 	utilEwma     float64 // smoothed utilization (the "utilization metric")
 	lastTempK    float64
 	lastVoltage  float64
@@ -166,6 +167,7 @@ func (t *Tracker) Advance(now sim.Time, states []CoreState) error {
 				c.effStressSec = 0
 			}
 		}
+		t.updateStress(i)
 		c.utilEwma += utilEwmaAlpha * (st.Utilization - c.utilEwma)
 		c.lastTempK = st.TempK
 		c.lastVoltage = st.Voltage
@@ -195,10 +197,15 @@ func (t *Tracker) DeltaVth(id int) float64 {
 }
 
 // Stress returns core id's wear indicator in [0,1]: DeltaVth relative to
-// the end-of-life drift.
-func (t *Tracker) Stress(id int) float64 {
+// the end-of-life drift. It changes only with effective stress, so
+// Advance and Restore compute it and Stress reads the stored value.
+func (t *Tracker) Stress(id int) float64 { return t.cores[id].stress }
+
+// updateStress recomputes core id's wear indicator; Advance and Restore,
+// the only writers of effStressSec, call it.
+func (t *Tracker) updateStress(id int) {
 	s := t.DeltaVth(id) / t.params.FailVth
-	return math.Min(math.Max(s, 0), 1)
+	t.cores[id].stress = math.Min(math.Max(s, 0), 1)
 }
 
 // Utilization returns the smoothed utilization metric of core id.

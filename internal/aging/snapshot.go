@@ -51,6 +51,7 @@ func (t *Tracker) Restore(st TrackerState) error {
 			lastVoltage:  c.LastVoltage,
 			lastActivity: c.LastActivity,
 		}
+		t.updateStress(i)
 	}
 	t.lastAt = st.LastAt
 	return nil

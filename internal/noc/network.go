@@ -75,19 +75,16 @@ type router struct {
 	// the per-cycle allocation loop skip idle routers cheaply.
 	buffered int
 	// vcTotal is the flattened (input port, vc) candidate count, fixed at
-	// construction; switch allocation iterates it round-robin.
+	// construction; the round-robin pointers wrap at it.
 	vcTotal int
 }
 
-// vcAt decomposes a flattened candidate index into (input port, vc).
-func (r *router) vcAt(idx int) (Port, int) {
-	for p := Port(0); p < numPorts; p++ {
-		if idx < len(r.in[p]) {
-			return p, idx
-		}
-		idx -= len(r.in[p])
-	}
-	return Local, 0
+// request is a non-empty input VC asking for an output port this cycle,
+// with its flattened candidate index (input ports in order, then VCs).
+type request struct {
+	idx  int
+	port Port
+	vc   int
 }
 
 // move is a staged flit transfer decided in the allocation phase and
@@ -135,6 +132,9 @@ type Network struct {
 	// destination VCs whose incoming counters must be reset next cycle.
 	moves   []move
 	touched []*vcState
+	// requests[out] lists the busy router's requests for output port out
+	// in ascending candidate order; rebuilt per router and cycle.
+	requests [numPorts][]request
 }
 
 // NewNetwork builds a mesh network.
@@ -334,15 +334,24 @@ func (n *Network) Step() {
 		if r.buffered == 0 {
 			continue
 		}
-		// Route + VC allocation for heads at the front of their VCs.
+		// Route + VC allocation for heads at the front of their VCs,
+		// collecting each routed VC as a request for its output port.
+		for out := range n.requests {
+			n.requests[out] = n.requests[out][:0]
+		}
+		idx := 0
 		for p := Port(0); p < numPorts; p++ {
 			for v := range r.in[p] {
 				n.allocateVC(r, p, v)
+				if vc := &r.in[p][v]; !vc.empty() && vc.outPort >= 0 {
+					n.requests[vc.outPort] = append(n.requests[vc.outPort], request{idx, p, v})
+				}
+				idx++
 			}
 		}
 		// Switch allocation: one flit per output physical channel.
 		for out := Port(0); out < numPorts; out++ {
-			n.allocateSwitch(r, out)
+			n.allocateSwitch(r, out, n.requests[out])
 		}
 	}
 	// Apply staged moves.
@@ -433,27 +442,33 @@ func (n *Network) allocateVC(r *router, p Port, v int) {
 	}
 }
 
-// allocateSwitch picks one (input port, VC) to send a flit through output
-// port out of router r this cycle, staging the move.
-func (n *Network) allocateSwitch(r *router, out Port) {
+// allocateSwitch picks one of reqs, the requests for output port out of
+// router r, to send a flit through out this cycle, staging the move.
+// Arbitration is round-robin over flattened candidates from rr[out]. No
+// VC's occupancy or route changes during allocation and reqs ascends, so
+// visiting it from the first index at or after rr[out], wrapping, visits
+// the requesters in the order a scan of every candidate would.
+func (n *Network) allocateSwitch(r *router, out Port, reqs []request) {
+	if len(reqs) == 0 {
+		return
+	}
 	downstream, downPort := n.neighbour(r, out)
 	if out != Local && downstream == nil {
 		return // edge of the mesh; legal routes never request it
 	}
-	total := r.vcTotal
-	start := r.rr[out]
-	for k := 0; k < total; k++ {
-		idx := (start + k) % total
-		p, v := r.vcAt(idx)
+	first := 0
+	for first < len(reqs) && reqs[first].idx < r.rr[out] {
+		first++
+	}
+	for k := range reqs {
+		rq := reqs[(first+k)%len(reqs)]
+		idx, p, v := rq.idx, rq.port, rq.vc
 		vc := &r.in[p][v]
-		if vc.empty() || vc.outPort != out {
-			continue
-		}
 		if out == Local {
 			n.moves = append(n.moves, move{
 				from: r, fromPort: p, fromVC: v, outPort: out, to: nil,
 			})
-			r.rr[out] = (idx + 1) % total
+			r.rr[out] = (idx + 1) % r.vcTotal
 			return
 		}
 		if vc.outVC < 0 {
@@ -471,7 +486,7 @@ func (n *Network) allocateSwitch(r *router, out Port) {
 			from: r, fromPort: p, fromVC: v, outPort: out,
 			to: downstream, toPort: downPort, toVC: vc.outVC,
 		})
-		r.rr[out] = (idx + 1) % total
+		r.rr[out] = (idx + 1) % r.vcTotal
 		return
 	}
 }

@@ -4,7 +4,13 @@
 // test responses into a MISR signature that is compared against a golden
 // value. Execution supports the non-intrusive abort the paper requires:
 // a test yields its core immediately when the mapper claims it.
+//
+// The MISR is the CRC-32/IEEE register (reflected polynomial 0xEDB88320)
+// seeded with all-ones and without the final inversion, so one response
+// word is absorbed by four lookups into the standard library's CRC table.
 package sbst
+
+import "hash/crc32"
 
 // MISR is a 32-bit multiple-input signature register: a Galois LFSR that
 // absorbs one response word per clock. It is the classical response
@@ -13,32 +19,30 @@ package sbst
 // probability is ~2^-32.
 type MISR struct {
 	state uint32
-	poly  uint32
 }
 
 // DefaultPolynomial is the CRC-32/IEEE polynomial in Galois form, a
 // primitive polynomial suitable for signature analysis.
-const DefaultPolynomial uint32 = 0xEDB88320
+const DefaultPolynomial uint32 = crc32.IEEE
 
 // NewMISR returns a signature register seeded with all-ones (the
 // conventional non-zero seed) using the default polynomial.
 func NewMISR() *MISR {
-	return &MISR{state: 0xFFFFFFFF, poly: DefaultPolynomial}
+	return &MISR{state: 0xFFFFFFFF}
 }
 
 // Reset restores the seed state.
 func (m *MISR) Reset() { m.state = 0xFFFFFFFF }
 
-// Absorb folds one test-response word into the signature.
+// Absorb folds one test-response word into the signature: the word is
+// XORed into the state, which then shifts 32 times. crc32.IEEETable is
+// the 8-shift table of DefaultPolynomial, so four lookups do the shifts.
 func (m *MISR) Absorb(word uint32) {
-	m.state ^= word
-	for i := 0; i < 32; i++ {
-		if m.state&1 != 0 {
-			m.state = (m.state >> 1) ^ m.poly
-		} else {
-			m.state >>= 1
-		}
-	}
+	s, t := m.state^word, crc32.IEEETable
+	s = s>>8 ^ t[byte(s)]
+	s = s>>8 ^ t[byte(s)]
+	s = s>>8 ^ t[byte(s)]
+	m.state = s>>8 ^ t[byte(s)]
 }
 
 // AbsorbAll folds a sequence of response words.

@@ -175,8 +175,11 @@ type Exec struct {
 
 	phase     int
 	cycleInPh int64
-	misr      *MISR
-	gen       *ResponseGenerator
+	misr      MISR
+	// golden is the fault-free signature of the completed phases: what
+	// misr holds when no absorbed response was corrupted.
+	golden MISR //potlint:nosnap derived: replayed from Routine, Level and phase by RestoreExec
+	gen    ResponseGenerator
 	// accumulated coverage of completed phases, per fault class, in
 	// miss-product form.
 	coveredSA    float64 //potlint:nosnap derived: covered = 1 - miss, recomputed by RestoreExec
@@ -189,12 +192,11 @@ type Exec struct {
 
 // NewExec starts a routine execution.
 func NewExec(r Routine, core, level int, pt tech.OperatingPoint, now sim.Time) *Exec {
-	e := &Exec{
+	return &Exec{
 		Routine: r, Core: core, Level: level, Point: pt, Started: now,
-		misr: NewMISR(), missSA: 1, missDelay: 1,
+		misr: *NewMISR(), golden: *NewMISR(), gen: *NewResponseGenerator(r.ID, 0, level),
+		missSA: 1, missDelay: 1,
 	}
-	e.gen = NewResponseGenerator(r.ID, 0, level)
-	return e
 }
 
 // Done reports whether every phase has completed.
@@ -271,6 +273,7 @@ func (e *Exec) Advance(dt sim.Time) bool {
 func (e *Exec) finishPhase(ph *Phase) {
 	for w := 0; w < ph.Words; w++ {
 		word := e.gen.Next()
+		e.golden.Absorb(word)
 		if e.faultWords > 0 {
 			word ^= 0x5A5A5A5A // fault-perturbed response
 			e.faultWords--
@@ -285,23 +288,25 @@ func (e *Exec) finishPhase(ph *Phase) {
 	e.phase++
 	e.cycleInPh = 0
 	if !e.Done() {
-		e.gen = NewResponseGenerator(e.Routine.ID, e.phase, e.Level)
+		e.gen = *NewResponseGenerator(e.Routine.ID, e.phase, e.Level)
 	}
 }
 
 // SignatureMatches compares the accumulated signature against the golden
 // signature for the completed prefix of phases. A perturbed response
 // stream yields a mismatch (modulo ~2^-32 aliasing).
-func (e *Exec) SignatureMatches() bool {
-	golden := NewMISR()
-	for i := 0; i < e.phase; i++ {
-		ph := e.Routine.Phases[i]
-		g := NewResponseGenerator(e.Routine.ID, i, e.Level)
-		for w := 0; w < ph.Words; w++ {
-			golden.Absorb(g.Next())
+func (e *Exec) SignatureMatches() bool { return e.misr.state == e.golden.state }
+
+// goldenPrefix is the fault-free signature of r's first n phases at level.
+func goldenPrefix(r Routine, level, n int) MISR {
+	m := *NewMISR()
+	for i := 0; i < n; i++ {
+		g := NewResponseGenerator(r.ID, i, level)
+		for w := 0; w < r.Phases[i].Words; w++ {
+			m.Absorb(g.Next())
 		}
 	}
-	return golden.Signature() == e.misr.Signature()
+	return m
 }
 
 // Abort applies the policy and returns the execution to reuse (nil when
@@ -312,7 +317,7 @@ func (e *Exec) Abort(policy AbortPolicy) *Exec {
 		// Rewind the interrupted phase only.
 		e.cycleInPh = 0
 		if !e.Done() {
-			e.gen = NewResponseGenerator(e.Routine.ID, e.phase, e.Level)
+			e.gen = *NewResponseGenerator(e.Routine.ID, e.phase, e.Level)
 		}
 		return e
 	default:

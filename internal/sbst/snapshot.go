@@ -30,17 +30,13 @@ type ExecState struct {
 
 // Snapshot captures the execution's full state.
 func (e *Exec) Snapshot() ExecState {
-	st := ExecState{
+	return ExecState{
 		Routine: e.Routine, Core: e.Core, Level: e.Level, Point: e.Point, Started: e.Started,
 		Phase: e.phase, CycleInPh: e.cycleInPh,
-		MISR:   e.misr.state,
+		MISR: e.misr.state, Gen: e.gen.state,
 		MissSA: e.missSA, MissDelay: e.missDelay,
 		DoneWords: e.doneWords, FaultWords: e.faultWords,
 	}
-	if e.gen != nil {
-		st.Gen = e.gen.state
-	}
-	return st
 }
 
 // RestoreExec reconstructs an execution from a snapshot.
@@ -54,14 +50,14 @@ func RestoreExec(st ExecState) (*Exec, error) {
 	e := &Exec{
 		Routine: st.Routine, Core: st.Core, Level: st.Level, Point: st.Point, Started: st.Started,
 		phase: st.Phase, cycleInPh: st.CycleInPh,
-		misr:   &MISR{state: st.MISR, poly: DefaultPolynomial},
+		misr: MISR{state: st.MISR}, golden: goldenPrefix(st.Routine, st.Level, st.Phase),
 		missSA: st.MissSA, missDelay: st.MissDelay,
 		doneWords: st.DoneWords, faultWords: st.FaultWords,
 	}
 	e.coveredSA = 1 - e.missSA
 	e.coveredDelay = 1 - e.missDelay
 	if !e.Done() {
-		e.gen = &ResponseGenerator{state: st.Gen}
+		e.gen = ResponseGenerator{state: st.Gen}
 	}
 	return e, nil
 }
