@@ -5,13 +5,11 @@ GO ?= go
 .PHONY: all build vet test lint lint-fix-report lint-sarif bench bench-gate bench-baseline experiments quick-experiments examples fmt clean
 
 # Benchmarks gated against bench/baseline.txt by bench-gate (and CI).
-# BenchmarkResultsAppend/store is fsync-bound, so its ns/op is not in
-# the relative gate; cmd/benchreport instead gates it absolutely — 0
-# allocs/op ceiling and a >=10x same-capture speedup over the CSV
-# ingest baseline (see the -max-allocs/-max-ns/-min-speedup defaults).
-BENCH_GATE = BenchmarkSystemEpoch$$|BenchmarkNoCStep$$|BenchmarkThermalStep$$|BenchmarkSystemRun32$$|BenchmarkResultsAppend$$|BenchmarkResultsQuery$$
-# Packages holding gated benchmarks (root suite + thermal kernel + result store).
-BENCH_PKGS = . ./internal/thermal ./internal/results
+# cmd/benchreport also holds BenchmarkNoCStep to 0 allocs/op (see its
+# -max-allocs default).
+BENCH_GATE = BenchmarkSystemEpoch$$|BenchmarkNoCStep$$|BenchmarkThermalStep$$|BenchmarkSystemRun32$$
+# Packages holding gated benchmarks (root suite + thermal kernel).
+BENCH_PKGS = . ./internal/thermal
 BENCH_COUNT ?= 5
 # Longer per-run benchtime damps scheduler noise so the 10% gate
 # threshold measures the code, not the machine.

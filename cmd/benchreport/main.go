@@ -8,9 +8,8 @@
 //
 // Check mode compares the current output against a baseline capture and
 // exits non-zero when a gated benchmark's mean ns/op regresses past the
-// threshold, when an absolute ceiling (-max-allocs, -max-ns) is
-// exceeded, or when a same-capture speedup ratio (-min-speedup) falls
-// below its minimum:
+// threshold or when an absolute allocs/op ceiling (-max-allocs) is
+// exceeded:
 //
 //	benchreport -check -baseline bench/baseline.txt current.txt
 //
@@ -33,26 +32,13 @@ func main() {
 		check    = flag.Bool("check", false, "compare against -baseline instead of emitting JSON")
 		baseline = flag.String("baseline", "bench/baseline.txt", "baseline benchmark capture for -check")
 		gate     = flag.String("gate",
-			// BenchmarkResultsAppend/store is deliberately absent: its
-			// ns/op is fsync-latency-dominated and swings far past the
-			// noise threshold on shared runners. Its contracts are gated
-			// absolutely instead: allocs/op via -max-allocs and ingest
-			// speedup over the CSV path via -min-speedup (a same-capture
-			// ratio, which cancels machine-level noise).
 			"BenchmarkSystemEpoch/serial,"+
-				"BenchmarkNoCStep,BenchmarkThermalStep/cores=1024,BenchmarkSystemRun32,"+
-				"BenchmarkResultsQuery",
+				"BenchmarkNoCStep,BenchmarkThermalStep/cores=1024,BenchmarkSystemRun32",
 			"comma-separated benchmarks gated by -check")
 		threshold = flag.Float64("threshold", 0.10, "fractional ns/op regression allowed by -check")
 		maxAllocs = flag.String("max-allocs",
-			"BenchmarkResultsAppend/store=0,BenchmarkNoCStep=0",
+			"BenchmarkNoCStep=0",
 			"comma-separated Name=limit ceilings on mean allocs/op, checked by -check")
-		maxNs = flag.String("max-ns",
-			"BenchmarkResultsQuery=1e9",
-			"comma-separated Name=limit ceilings on mean ns/op, checked by -check")
-		minSpeedup = flag.String("min-speedup",
-			"BenchmarkResultsAppend/csv-baseline BenchmarkResultsAppend/store 10",
-			"comma-separated \"Slow Fast min\" same-capture ns/op ratios, checked by -check")
 	)
 	flag.Parse()
 
@@ -71,15 +57,13 @@ func main() {
 		}
 		failures := Gate(base, cur, strings.Split(*gate, ","), *threshold)
 		failures = append(failures, GateCeilings(cur, "allocs/op", strings.Split(*maxAllocs, ","))...)
-		failures = append(failures, GateCeilings(cur, "ns/op", strings.Split(*maxNs, ","))...)
-		failures = append(failures, GateSpeedups(cur, strings.Split(*minSpeedup, ","))...)
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "FAIL:", f)
 		}
 		if len(failures) > 0 {
 			os.Exit(1)
 		}
-		fmt.Printf("benchreport: %d gated benchmarks within %.0f%% of baseline; ceilings and speedups hold\n",
+		fmt.Printf("benchreport: %d gated benchmarks within %.0f%% of baseline; ceilings hold\n",
 			len(strings.Split(*gate, ",")), *threshold*100)
 		return
 	}

@@ -196,8 +196,8 @@ func Gate(base, cur *Report, gated []string, threshold float64) []string {
 // GateCeilings enforces absolute per-benchmark ceilings on one metric
 // of the current capture: each spec is "Name=limit" (comma-separated in
 // the flag). Unlike the relative ns/op gate, ceilings need no baseline,
-// so they suit contracts that are absolute by nature — an alloc count
-// that must stay zero, a query that must stay under a wall-clock bound.
+// so they suit contracts that are absolute by nature, such as an alloc
+// count that must stay zero.
 func GateCeilings(cur *Report, unit string, specs []string) []string {
 	var failures []string
 	for _, spec := range specs {
@@ -223,45 +223,6 @@ func GateCeilings(cur *Report, unit string, specs []string) []string {
 		case v > limit:
 			failures = append(failures,
 				fmt.Sprintf("%s: %g %s exceeds ceiling %g %s", name, v, unit, limit, unit))
-		}
-	}
-	return failures
-}
-
-// GateSpeedups enforces minimum mean-ns/op ratios between two
-// benchmarks of the SAME capture: each spec is "Slow Fast min"
-// (space-separated triple; specs comma-separated in the flag). Because
-// both sides run in one capture on one machine, the ratio cancels the
-// machine-level noise that makes absolute I/O-bound ns/op ungateable.
-func GateSpeedups(cur *Report, specs []string) []string {
-	var failures []string
-	for _, spec := range specs {
-		fields := strings.Fields(spec)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 3 {
-			failures = append(failures, fmt.Sprintf("bad speedup spec %q (want \"Slow Fast min\")", spec))
-			continue
-		}
-		slow, fast := fields[0], fields[1]
-		min, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			failures = append(failures, fmt.Sprintf("bad speedup minimum in %q: %v", spec, err))
-			continue
-		}
-		s, okS := cur.Mean(slow, "ns/op")
-		f, okF := cur.Mean(fast, "ns/op")
-		switch {
-		case !okS:
-			failures = append(failures, fmt.Sprintf("%s: missing from current run (speedup check)", slow))
-		case !okF:
-			failures = append(failures, fmt.Sprintf("%s: missing from current run (speedup check)", fast))
-		case f <= 0:
-			failures = append(failures, fmt.Sprintf("%s: non-positive ns/op %g", fast, f))
-		case s/f < min:
-			failures = append(failures,
-				fmt.Sprintf("%s vs %s: %.1fx speedup, want >= %.0fx", fast, slow, s/f, min))
 		}
 	}
 	return failures

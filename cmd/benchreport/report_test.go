@@ -101,17 +101,17 @@ func TestGate(t *testing.T) {
 }
 
 func TestGateCeilings(t *testing.T) {
-	cur := Parse("BenchmarkResultsAppend/store 100 250 ns/op 0 allocs/op\n" +
-		"BenchmarkResultsQuery 10 180000000 ns/op 955 allocs/op\n")
+	cur := Parse("BenchmarkNoCStep 100 250 ns/op 0 allocs/op\n" +
+		"BenchmarkSystemRun32 10 180000000 ns/op 955 allocs/op\n")
 
 	// All ceilings hold.
-	f := GateCeilings(cur, "allocs/op", []string{"BenchmarkResultsAppend/store=0"})
-	f = append(f, GateCeilings(cur, "ns/op", []string{"BenchmarkResultsQuery=1e9"})...)
+	f := GateCeilings(cur, "allocs/op", []string{"BenchmarkNoCStep=0"})
+	f = append(f, GateCeilings(cur, "ns/op", []string{"BenchmarkSystemRun32=1e9"})...)
 	if len(f) != 0 {
 		t.Fatalf("ceilings within limits flagged: %v", f)
 	}
 	// An exceeded ceiling fails.
-	f = GateCeilings(cur, "allocs/op", []string{"BenchmarkResultsQuery=0"})
+	f = GateCeilings(cur, "allocs/op", []string{"BenchmarkSystemRun32=0"})
 	if len(f) != 1 || !strings.Contains(f[0], "exceeds ceiling") {
 		t.Fatalf("exceeded ceiling not flagged: %v", f)
 	}
@@ -124,32 +124,6 @@ func TestGateCeilings(t *testing.T) {
 	// Malformed specs fail loudly rather than being skipped.
 	f = GateCeilings(cur, "ns/op", []string{"no-equals-sign"})
 	if len(f) != 1 || !strings.Contains(f[0], "bad ceiling spec") {
-		t.Fatalf("malformed spec not flagged: %v", f)
-	}
-}
-
-func TestGateSpeedups(t *testing.T) {
-	cur := Parse("BenchmarkResultsAppend/store 100 250 ns/op\n" +
-		"BenchmarkResultsAppend/csv-baseline 100 3500 ns/op\n")
-
-	// 14x measured vs 10x floor: passes.
-	spec := []string{"BenchmarkResultsAppend/csv-baseline BenchmarkResultsAppend/store 10"}
-	if f := GateSpeedups(cur, spec); len(f) != 0 {
-		t.Fatalf("satisfied speedup flagged: %v", f)
-	}
-	// 14x vs a 20x floor: fails.
-	f := GateSpeedups(cur, []string{"BenchmarkResultsAppend/csv-baseline BenchmarkResultsAppend/store 20"})
-	if len(f) != 1 || !strings.Contains(f[0], "14.0x speedup") {
-		t.Fatalf("insufficient speedup not flagged: %v", f)
-	}
-	// Either side missing fails.
-	f = GateSpeedups(cur, []string{"BenchmarkGone BenchmarkResultsAppend/store 10"})
-	if len(f) != 1 || !strings.Contains(f[0], "missing") {
-		t.Fatalf("missing slow side not flagged: %v", f)
-	}
-	// Malformed specs fail loudly.
-	f = GateSpeedups(cur, []string{"only two-fields"})
-	if len(f) != 1 || !strings.Contains(f[0], "bad speedup spec") {
 		t.Fatalf("malformed spec not flagged: %v", f)
 	}
 }

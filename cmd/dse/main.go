@@ -17,9 +17,9 @@
 //
 //	dse -campaign configs/campaign-default.json -dir state -workers 8
 //	dse -campaign spec.json -dir state -resume -csv frontier.csv
-//	dse -campaign spec.json -dir state -store stores/   # per-stage columnar outcome stores
+//	dse -campaign spec.json -dir state -store stores/   # per-stage outcome stores: stores/screen.csv, stores/full.csv
 //	dse -campaign configs/sweep-16nm.json -dir state -store stores/
-//	results query -store stores/full -group-by tdpFraction,intervalMS \
+//	results query -store stores/full.csv -group-by tdpFraction,intervalMS \
 //	    -agg mean:penaltyPct,mean:testEnergyPct,mean:detectLatencyMS
 package main
 
@@ -66,7 +66,7 @@ func run(args []string) error {
 	retryBackoff := fs.Duration("retry-backoff", 100*time.Millisecond, "base retry backoff (doubles per retry, capped at 10x)")
 	chaosFlag := fs.String("chaos", "", "inject failures into matching cells: mode[:labelsubstring] (testing only)")
 	csvPath := fs.String("csv", "", "write the frontier as CSV")
-	storeDir := fs.String("store", "", "write per-stage columnar result stores under this root (query with cmd/results)")
+	storeDir := fs.String("store", "", "write per-stage result stores (<root>/screen.csv, <root>/full.csv) under this root (query with cmd/results)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -39,6 +39,7 @@ func TestRunSmallSweep(t *testing.T) {
 		}
 	}
 
+	// Read the store as cmd/results does, with every kind inferred.
 	st, err := results.Open(dse.StageStorePath(store, "full"), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -47,22 +48,21 @@ func TestRunSmallSweep(t *testing.T) {
 	if li < 0 {
 		t.Fatal("store lacks the detectLatencyMS column")
 	}
-	sc := st.Scan()
-	rows := 0
-	for sc.Next() {
-		rows++
-		if sc.Str(si) != "ok" {
-			t.Errorf("store row %d has status %q", rows, sc.Str(si))
+	for i, row := range st.Rows() {
+		if row[si].Str != "ok" {
+			t.Errorf("store row %d has status %q", i+1, row[si].Str)
 			continue
 		}
-		if lat := sc.Float(li); math.IsNaN(lat) || math.IsInf(lat, 0) {
-			t.Errorf("store row %d detectLatencyMS = %v, want finite", rows, lat)
+		// A column whose values are all integral infers as int64.
+		lat := row[li].F
+		if row[li].Kind == results.Int64 {
+			lat = float64(row[li].Int)
+		}
+		if math.IsNaN(lat) || math.IsInf(lat, 0) {
+			t.Errorf("store row %d detectLatencyMS = %v, want finite", i+1, lat)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if rows != 2 {
+	if rows := len(st.Rows()); rows != 2 {
 		t.Errorf("store has %d rows, want 2", rows)
 	}
 }

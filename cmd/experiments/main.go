@@ -6,8 +6,7 @@
 //	experiments -all            # run everything (takes a few minutes)
 //	experiments -e E1 -e E9     # run a subset
 //	experiments -quick -all     # fast smoke versions
-//	experiments -all -store st/ # write columnar result stores (cmd/results queries them)
-//	experiments -all -csv dir/  # also dump each table as CSV (an export of the store when -store is set)
+//	experiments -all -csv dir/  # also write each table to dir/e<N>.csv (cmd/results queries them)
 //	experiments -all -workers 8 # bound intra-experiment parallelism
 //
 // Two levels of parallelism compose: -parallel runs whole experiments
@@ -34,7 +33,6 @@ import (
 	"potsim/internal/expt"
 	"potsim/internal/guard"
 	"potsim/internal/prof"
-	"potsim/internal/results"
 )
 
 type idList []string
@@ -69,8 +67,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "simulation cells per experiment to run concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	quick := fs.Bool("quick", false, "short horizons and single seed")
 	seed := fs.Uint64("seed", 0, "base seed offset for replication")
-	csvDir := fs.String("csv", "", "directory to write per-experiment CSV tables into")
-	storeDir := fs.String("store", "", "root directory for columnar result stores (one per experiment); with -csv, the CSV is exported from the store")
+	csvDir := fs.String("csv", "", "directory to write per-experiment CSV tables (result stores) into")
 	progress := fs.Bool("progress", false, "log per-cell completion to stderr")
 	guardPolicy := fs.String("guard", "", "runtime invariant policy: panic, error or log (default error)")
 	chaosSpec := fs.String("chaos", "", "inject failures: mode[:labelsubstring] with mode panic|hang|nan|error|flaky (diagnostics)")
@@ -116,6 +113,16 @@ func run(args []string) error {
 	}
 	if *workers < 0 {
 		*workers = 0
+	}
+	if *csvDir != "" {
+		// A kill mid-write leaves a temp file beside the tables; the
+		// tables themselves are whole, so the droppings just go.
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			return err
+		}
+		if _, err := checkpoint.CleanTemps(*csvDir); err != nil {
+			return err
+		}
 	}
 
 	// SIGINT/SIGTERM cancel the batch context: in-flight cells stop at
@@ -190,13 +197,8 @@ func run(args []string) error {
 		mu.Unlock()
 		fmt.Printf("[%s finished in %v, %d cells]\n\n",
 			o.res.ID, o.elapsed.Round(time.Millisecond), n)
-		if *storeDir != "" && o.res.Table != nil {
-			if err := expt.SaveStore(*storeDir, o.res); err != nil {
-				errs = append(errs, err)
-			}
-		}
 		if *csvDir != "" && o.res.Table != nil {
-			if err := writeCSV(*csvDir, *storeDir, o.res); err != nil {
+			if err := writeCSV(*csvDir, o.res); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -217,22 +219,9 @@ func run(args []string) error {
 
 // writeCSV flushes one experiment's table atomically (temp file +
 // rename), so a reader — or a crash mid-write — can never observe a
-// half-written results file. When a result store was written, the CSV
-// is an *export* of the store — the segments are the system of record
-// and the bytes are identical to the direct rendering by the store's
-// round-trip contract.
-func writeCSV(dir, storeRoot string, res *expt.Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	csv := []byte(res.Table.CSV())
-	if storeRoot != "" {
-		exported, err := results.ExportCSV(expt.StorePath(storeRoot, res.ID))
-		if err != nil {
-			return fmt.Errorf("export %s from store: %w", res.ID, err)
-		}
-		csv = exported
-	}
+// half-written results file. The file is the experiment's result
+// store: cmd/results queries it as written.
+func writeCSV(dir string, res *expt.Result) error {
 	path := filepath.Join(dir, strings.ToLower(res.ID)+".csv")
-	return checkpoint.WriteFileAtomic(path, csv, 0o644)
+	return checkpoint.WriteFileAtomic(path, []byte(res.Table.CSV()), 0o644)
 }

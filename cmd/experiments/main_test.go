@@ -10,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"potsim/internal/results"
 )
 
 func TestRunSingleExperimentWithCSV(t *testing.T) {
@@ -23,6 +25,35 @@ func TestRunSingleExperimentWithCSV(t *testing.T) {
 	}
 	if len(blob) == 0 {
 		t.Error("empty CSV")
+	}
+}
+
+// TestRunCSVIsTheStore: a temp dropping a killed run left in the -csv
+// directory is cleaned before the first write, and the table written
+// there opens as a result store with one row per table row.
+func TestRunCSVIsTheStore(t *testing.T) {
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, "e4.csv.tmp123456")
+	if err := os.WriteFile(tmp, []byte("half a ta"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-quick", "-e", "E4", "-csv", dir}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp dropping survived the run: %v", err)
+	}
+	path := filepath.Join(dir, "e4.csv")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := results.Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Count(string(blob), "\n") - 1; want < 1 || len(st.Rows()) != want {
+		t.Fatalf("store has %d rows, the CSV %d", len(st.Rows()), want)
 	}
 }
 

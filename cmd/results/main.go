@@ -1,148 +1,82 @@
-// Command results inspects, exports, imports and queries columnar
-// result stores (see internal/results and the "Columnar result store"
-// section of DESIGN.md).
+// Command results inspects and queries result stores: the CSV tables
+// `experiments -csv dir/` writes (dir/e1.csv, ...) and the per-stage
+// tables `dse -store root/` writes (root/screen.csv, root/full.csv).
+// See internal/results and the "Result store" section of DESIGN.md.
 //
 // Usage:
 //
-//	results stat   -store dir                # segments, rows, schema, meta
-//	results export -store dir [-o out.csv]   # store -> CSV (byte-identical to the stored table)
-//	results import -csv e1.csv -store dir    # legacy CSV -> store (round-trips exactly)
-//	results query  -store dir -group-by policy -agg count,mean:penalty,p95:penalty \
-//	               [-where 'cell<100'] [-csv]
+//	results stat  -store file.csv              # path, rows, schema with inferred kinds
+//	results query -store file.csv -group-by policy -agg count,mean:penalty,p95:penalty \
+//	              [-where 'cell<100'] [-csv]
 //
-// Queries stream over the segments in constant memory: filters and
-// group-by run in one ordered pass, percentiles use P-squared
-// estimators. Every segment is checksum-verified as it is read; a
-// corrupt store fails the command rather than aggregating bad rows.
+// A store is read whole and every aggregate is exact: count, sum,
+// mean, min, max and nearest-rank percentiles (p50, p95, p99.9, ...).
+// Column kinds are inferred from the cells, and a numeric -where value
+// compares in float64 against either numeric kind. A NaN in a group
+// makes its sum, mean, min, max and percentiles NaN; DSE stores carry
+// quarantined cells as NaN gap rows, so add -where 'status==ok' to
+// aggregate over completed cells only. A store that does not parse
+// fails the command rather than aggregating part of it.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
-	"potsim/internal/checkpoint"
 	"potsim/internal/metrics"
 	"potsim/internal/results"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "results:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: results <stat|export|import|query> [flags]")
+		return fmt.Errorf("usage: results <stat|query> [flags]")
 	}
 	switch args[0] {
 	case "stat":
-		return runStat(args[1:])
-	case "export":
-		return runExport(args[1:])
-	case "import":
-		return runImport(args[1:])
+		return runStat(args[1:], stdout)
 	case "query":
-		return runQuery(args[1:])
+		return runQuery(args[1:], stdout)
 	default:
-		return fmt.Errorf("unknown subcommand %q (have stat, export, import, query)", args[0])
+		return fmt.Errorf("unknown subcommand %q (have stat, query)", args[0])
 	}
 }
 
-func runStat(args []string) error {
+func runStat(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("results stat", flag.ContinueOnError)
-	dir := fs.String("store", "", "store directory")
+	path := fs.String("store", "", "store file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dir == "" {
+	if *path == "" {
 		return fmt.Errorf("stat: -store is required")
 	}
-	st, err := results.Open(*dir, nil)
+	st, err := results.Open(*path, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("store:    %s\n", st.Dir())
-	fmt.Printf("segments: %d\n", st.Segments())
-	fmt.Printf("rows:     %d\n", st.Rows())
-	if sch := st.Schema(); sch != nil {
-		parts := make([]string, len(sch))
-		for i, c := range sch {
-			parts[i] = fmt.Sprintf("%s:%s", c.Name, c.Kind)
-		}
-		fmt.Printf("schema:   %s\n", strings.Join(parts, " "))
+	parts := make([]string, len(st.Schema()))
+	for i, c := range st.Schema() {
+		parts[i] = fmt.Sprintf("%s:%s", c.Name, c.Kind)
 	}
-	if st.Segments() > 0 {
-		for k, v := range st.SegmentMeta(0) {
-			fmt.Printf("meta:     %s=%s\n", k, v)
-		}
-	}
-	return nil
+	_, err = fmt.Fprintf(stdout, "store:    %s\nrows:     %d\nschema:   %s\n",
+		st.Path(), len(st.Rows()), strings.Join(parts, " "))
+	return err
 }
 
-func runExport(args []string) error {
-	fs := flag.NewFlagSet("results export", flag.ContinueOnError)
-	dir := fs.String("store", "", "store directory")
-	out := fs.String("o", "", "output CSV path (default stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("export: -store is required")
-	}
-	csv, err := results.ExportCSV(*dir)
-	if err != nil {
-		return err
-	}
-	if *out == "" {
-		_, err = os.Stdout.Write(csv)
-		return err
-	}
-	return checkpoint.WriteFileAtomic(*out, csv, 0o644)
-}
-
-func runImport(args []string) error {
-	fs := flag.NewFlagSet("results import", flag.ContinueOnError)
-	csvPath := fs.String("csv", "", "CSV file to convert")
-	dir := fs.String("store", "", "store directory to (re)create")
-	id := fs.String("id", "", "optional id recorded in segment meta")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *csvPath == "" || *dir == "" {
-		return fmt.Errorf("import: -csv and -store are required")
-	}
-	blob, err := os.ReadFile(*csvPath)
-	if err != nil {
-		return err
-	}
-	meta := map[string]string{"imported-from": *csvPath}
-	if *id != "" {
-		meta[results.MetaID] = *id
-	}
-	if err := results.ImportCSV(blob, *dir, meta); err != nil {
-		return err
-	}
-	// The converter's contract is exact round-trip; verify it here so
-	// a conversion that would not re-export identically fails loudly
-	// instead of quietly shipping a near-copy.
-	back, err := results.ExportCSV(*dir)
-	if err != nil {
-		return err
-	}
-	if string(back) != string(blob) {
-		return fmt.Errorf("import: %s does not round-trip byte-identically", *csvPath)
-	}
-	return nil
-}
-
-func runQuery(args []string) error {
+func runQuery(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("results query", flag.ContinueOnError)
-	dir := fs.String("store", "", "store directory")
+	path := fs.String("store", "", "store file")
 	groupBy := fs.String("group-by", "", "comma-separated group-by columns")
 	aggSpec := fs.String("agg", "count", "comma-separated aggregates: count, sum:col, mean:col, min:col, max:col, p95:col, ...")
 	var wheres stringList
@@ -151,10 +85,10 @@ func runQuery(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *dir == "" {
+	if *path == "" {
 		return fmt.Errorf("query: -store is required")
 	}
-	st, err := results.Open(*dir, nil)
+	st, err := results.Open(*path, nil)
 	if err != nil {
 		return err
 	}
@@ -195,16 +129,16 @@ func runQuery(args []string) error {
 		}
 		t.AddRow(cells...)
 	}
+	out := t.Render()
 	if *asCSV {
-		fmt.Print(t.CSV())
-	} else {
-		fmt.Print(t.Render())
+		out = t.CSV()
 	}
-	return nil
+	_, err = io.WriteString(stdout, out)
+	return err
 }
 
-// parseWhere splits 'col OP value', typing the value by the column's
-// schema kind.
+// parseWhere splits 'col OP value'. A value for a numeric column of
+// either kind parses as float64, the domain filters compare in.
 func parseWhere(schema results.Schema, s string) (results.Filter, error) {
 	for _, op := range []string{"<=", ">=", "==", "!=", "<", ">"} {
 		col, val, found := strings.Cut(s, op)
@@ -220,22 +154,13 @@ func parseWhere(schema results.Schema, s string) (results.Filter, error) {
 		if ci < 0 {
 			return results.Filter{}, fmt.Errorf("query: filter column %q not in schema", col)
 		}
-		f := results.Filter{Col: col, Op: cmp}
-		switch schema[ci].Kind {
-		case results.Int64:
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return results.Filter{}, fmt.Errorf("query: %q is not an integer for column %s", val, col)
-			}
-			f.Val = results.IntVal(n)
-		case results.Float64:
+		f := results.Filter{Col: col, Op: cmp, Val: results.StrVal(val)}
+		if schema[ci].Kind != results.String {
 			x, err := strconv.ParseFloat(val, 64)
 			if err != nil {
 				return results.Filter{}, fmt.Errorf("query: %q is not a number for column %s", val, col)
 			}
 			f.Val = results.FloatVal(x)
-		default:
-			f.Val = results.StrVal(val)
 		}
 		return f, nil
 	}

@@ -58,8 +58,8 @@ type Engine struct {
 	// the CI smoke only).
 	Chaos *expt.Chaos
 
-	// StoreDir, when non-empty, receives one columnar result store per
-	// stage (StoreDir/screen, StoreDir/full — see internal/results)
+	// StoreDir, when non-empty, receives one result store per stage
+	// (StoreDir/screen.csv, StoreDir/full.csv — see internal/results)
 	// holding every cell's outcome, quarantined gaps included. Each
 	// stage's store is rewritten whole when the stage completes, so it
 	// is resume-safe by construction; the journals in Dir remain the
@@ -176,6 +176,16 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	}
 	if err := os.MkdirAll(e.Dir, 0o755); err != nil {
 		return nil, err
+	}
+	if e.StoreDir != "" {
+		// A kill mid-write leaves a temp file beside the stores; the
+		// stores themselves are whole, so the droppings just go.
+		if err := os.MkdirAll(e.StoreDir, 0o755); err != nil {
+			return nil, err
+		}
+		if _, err := checkpoint.CleanTemps(e.StoreDir); err != nil {
+			return nil, err
+		}
 	}
 	if !e.Resume {
 		for _, name := range []string{"screen.journal", "full.journal"} {
@@ -341,7 +351,7 @@ func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, h
 		return nil, fmt.Errorf("dse: campaign stage %s: %w", stage, err)
 	}
 	if e.StoreDir != "" {
-		if err := e.writeStageStore(space, stage, meta, indexes, outcomes); err != nil {
+		if err := e.writeStageStore(space, stage, indexes, outcomes); err != nil {
 			return nil, fmt.Errorf("dse: stage %s result store: %w", stage, err)
 		}
 	}

@@ -1,8 +1,6 @@
 package dse
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -13,8 +11,8 @@ import (
 // storeSchema is the per-stage cell-outcome schema: the cell's
 // coordinates, its verdict, then the nine outcome metrics. Quarantined
 // cells keep their coordinate columns and carry NaN metrics — a gap is
-// an explicit row, never a missing one, so Rows() always equals the
-// stage's cell count and a query can filter on status.
+// an explicit row, never a missing one, so a store holds one row per
+// stage cell and a query can filter on status.
 var storeSchema = results.Schema{
 	{Name: "cell", Kind: results.Int64},
 	{Name: "mesh", Kind: results.String},
@@ -35,37 +33,20 @@ var storeSchema = results.Schema{
 	{Name: "detectLatencyMS", Kind: results.Float64},
 }
 
-// StageStorePath is the columnar result store holding one stage's cell
-// outcomes under a campaign store root ("screen" or "full").
+// StageStorePath is the result store (a CSV file, see
+// internal/results) holding one stage's cell outcomes under a campaign
+// store root ("screen" or "full").
 func StageStorePath(root, stage string) string {
-	return filepath.Join(root, stage)
+	return filepath.Join(root, stage+".csv")
 }
 
 // writeStageStore rewrites the stage's result store from the complete
-// outcome slice. A whole-store rewrite (results.Replace) rather than an
-// incremental append keeps resume trivially safe: the journal remains
-// the system of record for partial progress, and re-running a stage —
+// outcome slice, as one atomic whole-file write. The journal remains
+// the system of record for partial progress; re-running a stage —
 // fresh, resumed, or at a different worker count — replaces the store
-// with byte-identical content instead of duplicating rows. The segment
-// meta carries the stage fingerprint (the same string that keys the
-// journal), so a store can be matched to exactly the spec + stage +
-// survivor set that produced it.
-func (e *Engine) writeStageStore(space *Space, stage, stageMeta string, indexes []int64, outcomes []cellOutcome) error {
-	sum := sha256.Sum256([]byte(stageMeta))
-	meta := map[string]string{
-		results.MetaID:      e.Spec.Name,
-		"stage":             stage,
-		"stage-fingerprint": hex.EncodeToString(sum[:16]),
-	}
-	st, err := results.Replace(StageStorePath(e.StoreDir, stage), storeSchema)
-	if err != nil {
-		return err
-	}
-	ap, err := st.NewAppender(0, meta)
-	if err != nil {
-		return err
-	}
-	row := make([]results.Value, len(storeSchema))
+// with byte-identical content instead of duplicating rows.
+func (e *Engine) writeStageStore(space *Space, stage string, indexes []int64, outcomes []cellOutcome) error {
+	rows := make([][]results.Value, len(outcomes))
 	for i, out := range outcomes {
 		global := int64(i)
 		if indexes != nil {
@@ -88,26 +69,25 @@ func (e *Engine) writeStageStore(space *Space, stage, stageMeta string, indexes 
 		default:
 			return fmt.Errorf("dse: stage %s cell %d has an empty outcome", stage, global)
 		}
-		row[0] = results.IntVal(p.Index)
-		row[1] = results.StrVal(p.Mesh)
-		row[2] = results.StrVal(p.Node.Name)
-		row[3] = results.FloatVal(p.TDPFraction)
-		row[4] = results.FloatVal(p.BaseInterval.Millis())
-		row[5] = results.StrVal(string(p.Policy))
-		row[6] = results.IntVal(int64(p.Seed))
-		row[7] = results.StrVal(status)
-		row[8] = results.FloatVal(m.PenaltyPct)
-		row[9] = results.FloatVal(m.CoveragePct)
-		row[10] = results.FloatVal(m.PeakTempK)
-		row[11] = results.FloatVal(m.HeadroomW)
-		row[12] = results.FloatVal(m.MeanPowerW)
-		row[13] = results.FloatVal(m.TDPWatts)
-		row[14] = results.FloatVal(m.TestEnergyPct)
-		row[15] = results.FloatVal(m.TasksPerSec)
-		row[16] = results.FloatVal(m.DetectLatencyMS)
-		if err := ap.Append(row); err != nil {
-			return err
+		rows[i] = []results.Value{
+			results.IntVal(p.Index),
+			results.StrVal(p.Mesh),
+			results.StrVal(p.Node.Name),
+			results.FloatVal(p.TDPFraction),
+			results.FloatVal(p.BaseInterval.Millis()),
+			results.StrVal(string(p.Policy)),
+			results.IntVal(int64(p.Seed)),
+			results.StrVal(status),
+			results.FloatVal(m.PenaltyPct),
+			results.FloatVal(m.CoveragePct),
+			results.FloatVal(m.PeakTempK),
+			results.FloatVal(m.HeadroomW),
+			results.FloatVal(m.MeanPowerW),
+			results.FloatVal(m.TDPWatts),
+			results.FloatVal(m.TestEnergyPct),
+			results.FloatVal(m.TasksPerSec),
+			results.FloatVal(m.DetectLatencyMS),
 		}
 	}
-	return ap.Close()
+	return results.Write(StageStorePath(e.StoreDir, stage), storeSchema, rows)
 }

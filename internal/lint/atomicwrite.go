@@ -8,7 +8,7 @@ import (
 // with the raw os primitives. A crash between os.WriteFile's truncate
 // and its final write leaves a half-written file that a resume will
 // happily load; checkpoint.WriteFileAtomic (temp file, fsync, rename,
-// directory fsync) and the journal/segment append APIs exist precisely
+// directory fsync) and the journal append API exist precisely
 // so no durable artifact is ever observable half-written.
 //
 // Flagged calls: os.WriteFile, os.Create, os.Rename. os.OpenFile and
@@ -24,7 +24,7 @@ var AtomicWrite = &Analyzer{
 }
 
 // atomicWritePkgs are the package-path tails whose files are durable
-// artifacts: checkpoints, journals, result segments, experiment tables,
+// artifacts: checkpoints, journals, result stores, experiment tables,
 // and the daemon's on-disk state. cmd/dse and cmd/experiments write the
 // same artifacts from the front end, so their tails are gated too.
 var atomicWritePkgs = map[string]bool{
@@ -55,9 +55,9 @@ func runAtomicWrite(pass *Pass) error {
 			}
 			switch fn.Name() {
 			case "WriteFile":
-				pass.Reportf(call.Pos(), "os.WriteFile in durable package %s is not crash-atomic; route through checkpoint.WriteFileAtomic or a journal/segment API, or justify with //potlint:rawwrite <why>", pathTail(pass.Pkg.Path))
+				pass.Reportf(call.Pos(), "os.WriteFile in durable package %s is not crash-atomic; route through checkpoint.WriteFileAtomic or the journal API, or justify with //potlint:rawwrite <why>", pathTail(pass.Pkg.Path))
 			case "Create":
-				pass.Reportf(call.Pos(), "os.Create in durable package %s truncates in place; route through checkpoint.WriteFileAtomic or a journal/segment API, or justify with //potlint:rawwrite <why>", pathTail(pass.Pkg.Path))
+				pass.Reportf(call.Pos(), "os.Create in durable package %s truncates in place; route through checkpoint.WriteFileAtomic or the journal API, or justify with //potlint:rawwrite <why>", pathTail(pass.Pkg.Path))
 			case "Rename":
 				pass.Reportf(call.Pos(), "raw os.Rename in durable package %s bypasses the fsync discipline of checkpoint.WriteFileAtomic; use it (or justify with //potlint:rawwrite <why>)", pathTail(pass.Pkg.Path))
 			}

@@ -143,13 +143,6 @@ type Table struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
-	// raw retains the values AddRow received, parallel to Rows, so
-	// columnar storage (internal/results) can keep native types
-	// instead of re-parsing the rendered strings. Rows stays the
-	// rendering source of truth; tables built by hand (struct
-	// literals, direct Rows appends) simply have no raw cells and
-	// degrade to string columns.
-	raw [][]any
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -169,17 +162,6 @@ func (t *Table) AddRow(cells ...any) {
 		}
 	}
 	t.Rows = append(t.Rows, row)
-	t.raw = append(t.raw, cells)
-}
-
-// Raw returns the value AddRow received for (row, col) and true, or
-// nil and false when the row was not built through AddRow (or the raw
-// rows fell out of step with Rows through direct mutation).
-func (t *Table) Raw(row, col int) (any, bool) {
-	if len(t.raw) != len(t.Rows) || row >= len(t.raw) || col >= len(t.raw[row]) {
-		return nil, false
-	}
-	return t.raw[row][col], true
 }
 
 // FormatFloat renders floats compactly: integers without decimals,

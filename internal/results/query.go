@@ -5,81 +5,9 @@ import (
 	"math"
 	"sort"
 	"strconv"
+
+	"potsim/internal/metrics"
 )
-
-// Scanner is an ordered scan over every row in the store: segments in
-// append order, rows in append order within each segment. One segment
-// is decoded and verified at a time, so memory is bounded by the batch
-// size the writer used, not by the store size.
-type Scanner struct {
-	st  *Store
-	seg int
-	sd  *segmentData
-	row int
-	err error
-}
-
-// Scan starts an ordered scan.
-func (st *Store) Scan() *Scanner { return &Scanner{st: st, seg: -1} }
-
-// Next advances to the next row, loading (and fully verifying) the
-// next segment as needed. It returns false at the end of the store or
-// on error; check Err afterwards.
-func (sc *Scanner) Next() bool {
-	if sc.err != nil {
-		return false
-	}
-	for {
-		if sc.sd != nil && sc.row+1 < sc.sd.Rows {
-			sc.row++
-			return true
-		}
-		sc.seg++
-		if sc.seg >= len(sc.st.segs) {
-			return false
-		}
-		sd, err := readSegmentFile(sc.st.segs[sc.seg].path, sc.st.schema)
-		if err != nil {
-			sc.err = err
-			return false
-		}
-		sc.sd = sd
-		sc.row = -1
-	}
-}
-
-// Err returns the first error the scan hit (a typed corruption error,
-// or an I/O error), if any.
-func (sc *Scanner) Err() error { return sc.err }
-
-// Int returns the current row's value in Int64 column col.
-func (sc *Scanner) Int(col int) int64 { return sc.sd.Cols[col].Ints[sc.row] }
-
-// Float returns the current row's value in Float64 column col.
-func (sc *Scanner) Float(col int) float64 { return sc.sd.Cols[col].Floats[sc.row] }
-
-// Str returns the current row's value in String column col. The
-// string is shared with the segment's dictionary — no allocation.
-func (sc *Scanner) Str(col int) string {
-	c := &sc.sd.Cols[col]
-	return c.Dict[c.StrIdx[sc.row]]
-}
-
-// Value returns the current row's cell in column col, kind-tagged.
-func (sc *Scanner) Value(col int) Value {
-	c := &sc.sd.Cols[col]
-	switch c.Kind {
-	case Int64:
-		return Value{Kind: Int64, Int: c.Ints[sc.row]}
-	case Float64:
-		return Value{Kind: Float64, F: c.Floats[sc.row]}
-	default:
-		return Value{Kind: String, Str: c.Dict[c.StrIdx[sc.row]]}
-	}
-}
-
-// Meta returns the footer meta of the segment holding the current row.
-func (sc *Scanner) Meta() map[string]string { return sc.sd.Meta }
 
 // CmpOp is a filter comparison operator.
 type CmpOp uint8
@@ -114,9 +42,9 @@ func ParseCmpOp(s string) (CmpOp, error) {
 }
 
 // Filter keeps rows where column Col compares true against Val.
-// Numeric columns compare numerically (an Int64 value against a
-// Float64 column compares in the float domain and vice versa); string
-// columns compare lexicographically and only against string values.
+// Numeric columns compare numerically in the float64 domain, whatever
+// the numeric kinds of column and value; string columns compare
+// lexicographically and only against string values.
 type Filter struct {
 	Col string
 	Op  CmpOp
@@ -126,17 +54,16 @@ type Filter struct {
 // Agg is one aggregate: Op is "count", "sum", "mean", "min", "max" or
 // a percentile like "p95" / "p99.9". Col may be empty for "count".
 // Numeric aggregates accept Int64 and Float64 columns and compute in
-// the float64 domain.
+// the float64 domain. Percentiles are exact nearest-rank
+// (metrics.Percentile). A NaN anywhere in a group makes that group's
+// sum, mean, min, max and percentiles NaN, whatever the row order.
 type Agg struct {
 	Op  string
 	Col string
 }
 
-// Query is a streaming aggregation: filter rows, group by zero or
-// more columns, fold the aggregates. It runs in one ordered pass with
-// state proportional to the number of distinct groups — never to the
-// number of rows (percentiles use constant-memory P² estimators, see
-// Quantile).
+// Query filters rows, groups them by zero or more columns, and folds
+// the aggregates over each group.
 type Query struct {
 	Filters []Filter
 	GroupBy []string
@@ -144,7 +71,7 @@ type Query struct {
 }
 
 // QueryResult holds the aggregated rows, one per group, sorted by the
-// group-by values (deterministic regardless of scan interleaving).
+// group-by values.
 type QueryResult struct {
 	Headers []string
 	Rows    [][]Value
@@ -158,28 +85,18 @@ type compiledFilter struct {
 
 type compiledAgg struct {
 	col  int     // -1 for bare count
-	q    float64 // percentile target, NaN otherwise
+	pct  float64 // percentile target in [0,100], NaN otherwise
 	op   string
 	name string
 }
 
-type aggState struct {
-	count    int64
-	sum      float64
-	min, max float64
-	quant    *Quantile
-}
-
 type group struct {
 	key  []Value
-	aggs []aggState
+	rows [][]Value
 }
 
 // RunQuery executes q against the store.
 func (st *Store) RunQuery(q Query) (*QueryResult, error) {
-	if st.schema == nil {
-		return &QueryResult{}, nil
-	}
 	filters := make([]compiledFilter, len(q.Filters))
 	for i, f := range q.Filters {
 		c := st.schema.Col(f.Col)
@@ -212,41 +129,26 @@ func (st *Store) RunQuery(q Query) (*QueryResult, error) {
 
 	groups := make(map[string]*group)
 	var keyBuf []byte
-	sc := st.Scan()
 rows:
-	for sc.Next() {
+	for _, row := range st.rows {
 		for _, f := range filters {
-			ok, err := evalFilter(sc, f)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+			if !evalFilter(row, f) {
 				continue rows
 			}
 		}
 		keyBuf = keyBuf[:0]
 		for _, c := range groupCols {
-			keyBuf = appendKey(keyBuf, sc.Value(c))
+			keyBuf = appendKey(keyBuf, row[c])
 		}
 		g := groups[string(keyBuf)]
 		if g == nil {
-			g = &group{key: make([]Value, len(groupCols)), aggs: make([]aggState, len(aggs))}
+			g = &group{key: make([]Value, len(groupCols))}
 			for i, c := range groupCols {
-				g.key[i] = sc.Value(c)
-			}
-			for i := range aggs {
-				if !math.IsNaN(aggs[i].q) {
-					g.aggs[i].quant = NewQuantile(aggs[i].q)
-				}
+				g.key[i] = row[c]
 			}
 			groups[string(keyBuf)] = g
 		}
-		for i := range aggs {
-			foldAgg(&g.aggs[i], &aggs[i], sc)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+		g.rows = append(g.rows, row)
 	}
 
 	out := make([]*group, 0, len(groups))
@@ -264,7 +166,7 @@ rows:
 		row := make([]Value, 0, len(g.key)+len(aggs))
 		row = append(row, g.key...)
 		for i := range aggs {
-			row = append(row, finishAgg(&g.aggs[i], &aggs[i]))
+			row = append(row, aggregate(&aggs[i], g.rows))
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -272,7 +174,7 @@ rows:
 }
 
 func compileAgg(schema Schema, a Agg) (compiledAgg, error) {
-	ca := compiledAgg{col: -1, q: math.NaN(), op: a.Op}
+	ca := compiledAgg{col: -1, pct: math.NaN(), op: a.Op}
 	if a.Op == "count" && a.Col == "" {
 		ca.name = "count"
 		return ca, nil
@@ -295,7 +197,7 @@ func compileAgg(schema Schema, a Agg) (compiledAgg, error) {
 		if err != nil || pct < 0 || pct > 100 {
 			return ca, fmt.Errorf("results: bad percentile aggregate %q", a.Op)
 		}
-		ca.q = pct / 100
+		ca.pct = pct
 	}
 	if schema[c].Kind == String {
 		return ca, fmt.Errorf("results: aggregate %s over string column %q", a.Op, a.Col)
@@ -303,28 +205,18 @@ func compileAgg(schema Schema, a Agg) (compiledAgg, error) {
 	return ca, nil
 }
 
-func evalFilter(sc *Scanner, f compiledFilter) (bool, error) {
-	kind := sc.st.schema[f.col].Kind
-	if kind == String {
-		return cmpOrdered(sc.Str(f.col), f.val.Str, f.op), nil
+func evalFilter(row []Value, f compiledFilter) bool {
+	v := row[f.col]
+	if v.Kind == String {
+		return cmpOrdered(v.Str, f.val.Str, f.op)
 	}
-	var x float64
-	if kind == Int64 {
-		x = float64(sc.Int(f.col))
-	} else {
-		x = sc.Float(f.col)
-	}
-	y := f.val.F
-	if f.val.Kind == Int64 {
-		y = float64(f.val.Int)
-	}
-	return cmpOrdered(x, y, f.op), nil
+	return cmpOrdered(v.float(), f.val.float(), f.op)
 }
 
 // cmpOrdered applies op. Filter equality on float columns is
 // deliberately exact: it matches the bit-identical value the writer
-// stored (floats round-trip exactly through the raw-bits encoding),
-// which is what "select this config point" means.
+// stored (floats round-trip exactly through the file), which is what
+// "select this config point" means.
 func cmpOrdered[T float64 | string](a, b T, op CmpOp) bool {
 	switch op {
 	case Eq:
@@ -342,50 +234,45 @@ func cmpOrdered[T float64 | string](a, b T, op CmpOp) bool {
 	}
 }
 
-func foldAgg(s *aggState, a *compiledAgg, sc *Scanner) {
-	s.count++
-	if a.col < 0 {
-		return
+// aggregate folds one aggregate over a group's rows (never empty: a
+// group exists because a row landed in it). Sums run in row order.
+func aggregate(a *compiledAgg, rows [][]Value) Value {
+	if a.op == "count" {
+		return IntVal(int64(len(rows)))
 	}
-	var x float64
-	if sc.st.schema[a.col].Kind == Int64 {
-		x = float64(sc.Int(a.col))
-	} else {
-		x = sc.Float(a.col)
+	xs := make([]float64, len(rows))
+	var sum float64
+	hasNaN := false
+	for i, row := range rows {
+		xs[i] = row[a.col].float()
+		sum += xs[i]
+		hasNaN = hasNaN || math.IsNaN(xs[i])
 	}
-	if s.count == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	s.sum += x
-	if s.quant != nil {
-		s.quant.Add(x)
-	}
-}
-
-func finishAgg(s *aggState, a *compiledAgg) Value {
 	switch {
-	case a.op == "count":
-		return IntVal(s.count)
 	case a.op == "sum":
-		return FloatVal(s.sum)
+		return FloatVal(sum)
 	case a.op == "mean":
-		if s.count == 0 {
-			return FloatVal(0)
-		}
-		return FloatVal(s.sum / float64(s.count))
+		return FloatVal(sum / float64(len(xs)))
+	case hasNaN:
+		return FloatVal(math.NaN())
 	case a.op == "min":
-		return FloatVal(s.min)
+		lo := xs[0]
+		for _, x := range xs[1:] {
+			if x < lo {
+				lo = x
+			}
+		}
+		return FloatVal(lo)
 	case a.op == "max":
-		return FloatVal(s.max)
+		hi := xs[0]
+		for _, x := range xs[1:] {
+			if x > hi {
+				hi = x
+			}
+		}
+		return FloatVal(hi)
 	default:
-		return FloatVal(s.quant.Value())
+		return FloatVal(metrics.Percentile(xs, a.pct))
 	}
 }
 
@@ -420,13 +307,7 @@ func lessValues(a, b []Value) bool {
 			}
 			continue
 		}
-		xf, yf := x.F, y.F
-		if x.Kind == Int64 {
-			xf = float64(x.Int)
-		}
-		if y.Kind == Int64 {
-			yf = float64(y.Int)
-		}
+		xf, yf := x.float(), y.float()
 		if xf < yf {
 			return true
 		}

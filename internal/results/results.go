@@ -1,67 +1,36 @@
-// Package results is the columnar result store the experiment harness,
-// DSE campaigns and the service layer persist into: an append-only
-// directory of compressed, checksummed segment files plus a streaming
-// query engine that filters, groups and aggregates over them in
-// constant memory.
+// Package results is the result store the experiment harness and DSE
+// campaigns write and cmd/results queries: one CSV file per table, a
+// header line of column names and then one line per row, with an
+// in-memory query engine that filters, groups and aggregates exactly.
 //
-// A segment holds a batch of rows encoded column by column — int64
-// columns as zigzag-delta varints, float64 columns as raw
-// little-endian bits (lossless round-trip by construction), string
-// columns dictionary-encoded — followed by a JSON footer recording the
-// schema, row count and a SHA-256 per column block, and a fixed-size
-// trailer that checksums the footer itself. The framing follows the
-// internal/checkpoint envelope discipline: magic, kind, version and
-// checksums are all verified before a single row is decoded, so a torn
-// tail, a flipped bit, or a segment from an incompatible build is
-// rejected with a typed error — never silently loaded, never a
-// silently shortened table.
-//
-// Segments are written via checkpoint.WriteFileAtomic (temp file,
+// A store is written whole with checkpoint.WriteFileAtomic (temp file,
 // fsync, rename, directory fsync), so a crash at any instant leaves
-// the store holding only whole segments: readers lose at most the
-// unflushed tail batch, and Open cleans the temp droppings. The write
-// path is a zero-alloc steady-state Appender that batches rows in
-// memory and pays one fsync per segment, not per row.
+// either the previous complete file or the new complete file, never a
+// torn one. Open reads the whole file and refuses anything that does
+// not parse: a row with the wrong cell count, a missing final newline,
+// or a cell that does not parse as its column's kind is an error that
+// names the file and line. The tables the simulator writes are small
+// (hundreds of rows), so holding one in memory costs nothing and every
+// aggregate, percentiles included, is exact.
 package results
 
-import (
-	"errors"
-	"fmt"
-	"strconv"
-)
-
-// Typed sentinel errors, mirroring internal/checkpoint's taxonomy so
-// callers can distinguish "not ours" from "ours but refused".
-var (
-	// ErrNotSegment marks files that are not potsim result segments
-	// (bad magic at either end).
-	ErrNotSegment = errors.New("results: not a potsim result segment")
-	// ErrCorrupt marks segments that fail structural or checksum
-	// validation: torn tails, truncated footers, flipped bits.
-	ErrCorrupt = errors.New("results: segment corrupt")
-	// ErrVersion marks segments written by an incompatible format
-	// version.
-	ErrVersion = errors.New("results: segment version mismatch")
-	// ErrSchema marks segments whose schema does not match the store
-	// they are being read into.
-	ErrSchema = errors.New("results: segment schema mismatch")
-)
+import "strconv"
 
 // Kind is the type of a column.
 type Kind uint8
 
 const (
-	// Int64 columns hold signed integers, encoded as zigzag deltas.
+	// Int64 columns hold signed integers.
 	Int64 Kind = iota
-	// Float64 columns hold float64 values, stored as raw IEEE-754
-	// bits so every value round-trips exactly (including NaN
-	// payloads).
+	// Float64 columns hold float64 values, written in the shortest
+	// form that parses back to the same bits (NaN and ±Inf included).
 	Float64
-	// String columns hold strings, dictionary-encoded per segment.
+	// String columns hold strings verbatim; a string cell may not hold
+	// a comma, a quote or a newline.
 	String
 )
 
-// String returns the on-disk name of the kind.
+// String returns the name of the kind.
 func (k Kind) String() string {
 	switch k {
 	case Int64:
@@ -74,26 +43,13 @@ func (k Kind) String() string {
 	return "kind(" + strconv.Itoa(int(k)) + ")"
 }
 
-// parseKind inverts Kind.String.
-func parseKind(s string) (Kind, error) {
-	switch s {
-	case "int64":
-		return Int64, nil
-	case "float64":
-		return Float64, nil
-	case "string":
-		return String, nil
-	}
-	return 0, fmt.Errorf("%w: unknown column kind %q", ErrSchema, s)
-}
-
 // Column describes one column of a schema.
 type Column struct {
 	Name string
 	Kind Kind
 }
 
-// Schema is an ordered list of columns. Rows appended to a store must
+// Schema is an ordered list of columns. Rows written to a store must
 // match it positionally.
 type Schema []Column
 
@@ -107,23 +63,8 @@ func (s Schema) Col(name string) int {
 	return -1
 }
 
-// Equal reports whether two schemas have identical names and kinds in
-// identical order.
-func (s Schema) Equal(o Schema) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Value is one cell. Kind selects which field is meaningful; the
-// others are ignored. Rows are []Value slices the caller may reuse
-// between Append calls — the appender copies what it needs.
+// others are ignored.
 type Value struct {
 	Kind Kind
 	Int  int64
@@ -139,3 +80,12 @@ func FloatVal(v float64) Value { return Value{Kind: Float64, F: v} }
 
 // StrVal builds a String cell.
 func StrVal(v string) Value { return Value{Kind: String, Str: v} }
+
+// float returns a numeric cell in the float64 domain, where filters
+// and aggregates compare and compute.
+func (v Value) float() float64 {
+	if v.Kind == Int64 {
+		return float64(v.Int)
+	}
+	return v.F
+}

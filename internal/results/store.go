@@ -1,389 +1,211 @@
 package results
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
+	"strconv"
+	"strings"
 
 	"potsim/internal/checkpoint"
 )
 
-// Store is an append-only directory of segment files sharing one
-// schema. Segments are numbered in append order (`seg-00000001.seg`,
-// ...), written atomically, and scanned back in the same order, so a
-// scan is an ordered replay of every row ever flushed.
-//
-// A Store is not safe for concurrent use; callers that share one
-// across goroutines (the service layer) wrap it in their own lock.
+// Store is one CSV table held in memory: its schema and its rows in
+// file order. A Store is read-only once opened.
 type Store struct {
-	dir     string
-	schema  Schema
-	segs    []segInfo
-	rows    int64
-	nextSeq uint64
+	path   string
+	schema Schema
+	rows   [][]Value
 }
 
-type segInfo struct {
-	path string
-	rows int
-	meta map[string]string
-}
-
-const segPattern = "seg-*.seg"
-
-// Open opens (creating if needed) the store directory. If schema is
-// nil it is adopted from the first existing segment; if non-nil, every
-// existing segment must match it (ErrSchema otherwise). Temp droppings
-// from a crash mid-write are cleaned; a torn or corrupt segment fails
-// Open with a typed error rather than being silently skipped.
-func Open(dir string, schema Schema) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if _, err := checkpoint.CleanTemps(dir); err != nil {
-		return nil, err
-	}
-	names, err := filepath.Glob(filepath.Join(dir, segPattern))
+// Open reads the store at path. With a schema, the header must list
+// the schema's column names in order and every cell parses by its
+// column's kind. With a nil schema each column's kind is inferred:
+// Int64 if every cell parses as an integer, Float64 if every cell
+// parses as a float (NaN included), String otherwise. A missing file is
+// an error; Open never creates anything.
+func Open(path string, schema Schema) (*Store, error) {
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(names)
-	st := &Store{dir: dir, schema: schema, nextSeq: 1}
-	for _, path := range names {
-		f, err := readSegmentFooter(path)
-		if err != nil {
+	return parse(path, blob, schema)
+}
+
+// parse is Open over the file's bytes; path only labels errors.
+func parse(path string, blob []byte, schema Schema) (*Store, error) {
+	text := string(blob)
+	if !strings.HasSuffix(text, "\n") {
+		return nil, fmt.Errorf("results: %s:%d: no final newline (torn write?)",
+			path, strings.Count(text, "\n")+1)
+	}
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	if lines[0] == "" {
+		return nil, fmt.Errorf("results: %s:1: empty header line", path)
+	}
+	header, err := splitLine(path, 1, lines[0])
+	if err != nil {
+		return nil, err
+	}
+	cells := make([][]string, len(lines)-1)
+	for i, ln := range lines[1:] {
+		if cells[i], err = splitLine(path, i+2, ln); err != nil {
 			return nil, err
 		}
-		if st.schema == nil {
-			st.schema = f.schema
-		} else if !f.schema.Equal(st.schema) {
-			return nil, fmt.Errorf("%s: %w: segment schema %v, store schema %v",
-				path, ErrSchema, f.schema, st.schema)
+		if len(cells[i]) != len(header) {
+			return nil, fmt.Errorf("results: %s:%d: %d cells, header has %d", path, i+2, len(cells[i]), len(header))
 		}
-		st.segs = append(st.segs, segInfo{path: path, rows: f.rows, meta: f.meta})
-		st.rows += int64(f.rows)
-		if seq, ok := segSeq(path); ok && seq >= st.nextSeq {
-			st.nextSeq = seq + 1
+	}
+	if schema == nil {
+		schema = make(Schema, len(header))
+		for c, name := range header {
+			schema[c] = Column{Name: name, Kind: inferKind(cells, c)}
+		}
+	} else if !namesMatch(header, schema) {
+		return nil, fmt.Errorf("results: %s:1: header %s does not match schema %s",
+			path, lines[0], strings.Join(schemaNames(schema), ","))
+	}
+	st := &Store{path: path, schema: schema, rows: make([][]Value, len(cells))}
+	for i, row := range cells {
+		st.rows[i] = make([]Value, len(row))
+		for c, s := range row {
+			v, err := parseCell(schema[c].Kind, s)
+			if err != nil {
+				return nil, fmt.Errorf("results: %s:%d: column %s: %q is not %v",
+					path, i+2, schema[c].Name, s, schema[c].Kind)
+			}
+			st.rows[i][c] = v
 		}
 	}
 	return st, nil
 }
 
-// Replace opens dir as an empty store with the given schema,
-// discarding any segments already there. Writers that regenerate a
-// complete, deterministic result set (an experiment table rewrite, a
-// DSE stage replayed from its journal) use this so a partial earlier
-// write can never mix with the new rows.
-func Replace(dir string, schema Schema) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+// splitLine splits line n into cells. Quoted CSV is not this format: a
+// quote would not survive a write back, so it is refused on read too.
+func splitLine(path string, n int, line string) ([]string, error) {
+	if strings.ContainsRune(line, '"') {
+		return nil, fmt.Errorf("results: %s:%d: quoted cells are not supported", path, n)
 	}
-	if _, err := checkpoint.CleanTemps(dir); err != nil {
-		return nil, err
+	return strings.Split(line, ","), nil
+}
+
+func namesMatch(header []string, schema Schema) bool {
+	if len(header) != len(schema) {
+		return false
 	}
-	names, err := filepath.Glob(filepath.Join(dir, segPattern))
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range names {
-		if err := os.Remove(n); err != nil && !os.IsNotExist(err) {
-			return nil, err
+	for i, c := range schema {
+		if header[i] != c.Name {
+			return false
 		}
 	}
-	return &Store{dir: dir, schema: schema, nextSeq: 1}, nil
+	return true
 }
 
-// segSeq parses the sequence number out of a segment file name.
-func segSeq(path string) (uint64, bool) {
-	base := filepath.Base(path)
-	var seq uint64
-	if _, err := fmt.Sscanf(base, "seg-%d.seg", &seq); err != nil {
-		return 0, false
+func schemaNames(schema Schema) []string {
+	names := make([]string, len(schema))
+	for i, c := range schema {
+		names[i] = c.Name
 	}
-	return seq, true
+	return names
 }
 
-// footerInfo is the cheap (no column decode) view of a segment.
-type footerInfo struct {
-	rows   int
-	schema Schema
-	meta   map[string]string
-}
-
-// readSegmentFooter frames and verifies the footer of one segment
-// without reading or decoding the column blocks: header magic, trailer
-// magic, footer checksum, kind, version and schema are all checked.
-// Column block checksums are verified when the segment is scanned.
-func readSegmentFooter(path string) (*footerInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := fi.Size()
-	if size < int64(len(headerMagic)+trailerLen) {
-		return nil, fmt.Errorf("%s: %w: %d bytes is too short to frame", path, ErrNotSegment, size)
-	}
-	var head [len(headerMagic)]byte
-	if _, err := f.ReadAt(head[:], 0); err != nil {
-		return nil, err
-	}
-	if string(head[:]) != headerMagic {
-		return nil, fmt.Errorf("%s: %w: bad header magic", path, ErrNotSegment)
-	}
-	var trailer [trailerLen]byte
-	if _, err := f.ReadAt(trailer[:], size-trailerLen); err != nil {
-		return nil, err
-	}
-	if string(trailer[trailerLen-8:]) != trailerMagic {
-		return nil, fmt.Errorf("%s: %w: trailer magic missing (torn tail)", path, ErrCorrupt)
-	}
-	footerLen := binary.LittleEndian.Uint64(trailer[:8])
-	footerOff := size - trailerLen - int64(footerLen)
-	if footerLen > uint64(size) || footerOff < int64(len(headerMagic)) {
-		return nil, fmt.Errorf("%s: %w: footer length %d does not fit the file", path, ErrCorrupt, footerLen)
-	}
-	footerBytes := make([]byte, footerLen)
-	if _, err := f.ReadAt(footerBytes, footerOff); err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(footerBytes)
-	if !shaEqual(sum[:], trailer[8:8+sha256.Size]) {
-		return nil, fmt.Errorf("%s: %w: footer sha256 mismatch", path, ErrCorrupt)
-	}
-	var sf segFooter
-	if err := json.Unmarshal(footerBytes, &sf); err != nil {
-		return nil, fmt.Errorf("%s: %w: footer does not decode: %v", path, ErrCorrupt, err)
-	}
-	if sf.Kind != footerKind {
-		return nil, fmt.Errorf("%s: %w: footer kind %q, want %q", path, ErrCorrupt, sf.Kind, footerKind)
-	}
-	if sf.Version != segVersion {
-		return nil, fmt.Errorf("%s: %w: segment is format v%d, this build reads v%d",
-			path, ErrVersion, sf.Version, segVersion)
-	}
-	if sf.Rows < 0 || sf.Rows > maxRowsPerBlock {
-		return nil, fmt.Errorf("%s: %w: implausible row count %d", path, ErrCorrupt, sf.Rows)
-	}
-	schema := make(Schema, len(sf.Columns))
-	for i, c := range sf.Columns {
-		k, err := parseKind(c.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		schema[i] = Column{Name: c.Name, Kind: k}
-	}
-	return &footerInfo{rows: sf.Rows, schema: schema, meta: sf.Meta}, nil
-}
-
-// Dir returns the store directory.
-func (st *Store) Dir() string { return st.dir }
-
-// Schema returns the store schema (nil for an empty store opened
-// without one).
-func (st *Store) Schema() Schema { return st.schema }
-
-// Rows returns the total row count across all segments.
-func (st *Store) Rows() int64 { return st.rows }
-
-// Segments returns the number of segment files.
-func (st *Store) Segments() int { return len(st.segs) }
-
-// SegmentMeta returns the meta map recorded in segment i's footer.
-func (st *Store) SegmentMeta(i int) map[string]string { return st.segs[i].meta }
-
-// Reset removes every segment, returning the store to empty. The
-// schema is retained. Used by writers that regenerate a deterministic
-// result set from scratch (e.g. a DSE stage rewrite on resume).
-func (st *Store) Reset() error {
-	for _, s := range st.segs {
-		if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	st.segs = nil
-	st.rows = 0
-	st.nextSeq = 1
-	return nil
-}
-
-// DefaultBatchRows is the appender's default segment size: large
-// enough to amortize the per-segment fsync and footer, small enough
-// that a scan holds only a modest batch in memory.
-const DefaultBatchRows = 65536
-
-// Appender batches rows in columnar scratch buffers and flushes them
-// as one atomically-written segment per batch — one fsync per segment,
-// not per row. Append is zero-alloc at steady state: the scratch
-// buffers and the per-column string dictionaries reach capacity during
-// warm-up and are reused across batches.
-type Appender struct {
-	st    *Store
-	batch int
-	meta  map[string]string
-	n     int
-	wrote bool
-	cols  []colBuf
-	// encBuf is the flush-time encoding scratch, reused across
-	// segments.
-	encBuf  []byte
-	segCols []segColumn
-}
-
-type colBuf struct {
-	kind      Kind
-	ints      []int64
-	floats    []float64
-	strIdx    []uint32
-	dict      map[string]uint32
-	dictOrder []string
-}
-
-// NewAppender creates an appender flushing every batchRows rows
-// (DefaultBatchRows if <= 0). meta is recorded verbatim in every
-// segment footer this appender writes — the store's key context
-// (config hashes, suite fingerprints).
-func (st *Store) NewAppender(batchRows int, meta map[string]string) (*Appender, error) {
-	if st.schema == nil {
-		return nil, fmt.Errorf("results: store %s has no schema to append against", st.dir)
-	}
-	if batchRows <= 0 {
-		batchRows = DefaultBatchRows
-	}
-	a := &Appender{st: st, batch: batchRows, meta: meta, cols: make([]colBuf, len(st.schema))}
-	for i, c := range st.schema {
-		a.cols[i].kind = c.Kind
-		if c.Kind == String {
-			a.cols[i].dict = make(map[string]uint32)
-		}
-	}
-	return a, nil
-}
-
-// Append buffers one row. The row slice may be reused by the caller
-// after Append returns (string cells are immutable and are retained as
-// dictionary entries). A full batch flushes automatically.
-//
-//potlint:allocfree
-func (a *Appender) Append(row []Value) error {
-	if len(row) != len(a.cols) {
-		return fmt.Errorf("results: row has %d cells, schema has %d", len(row), len(a.cols))
-	}
-	for i := range row {
-		c := &a.cols[i]
-		if row[i].Kind != c.kind {
-			return fmt.Errorf("results: column %d is %v, row cell is %v", i, c.kind, row[i].Kind)
-		}
-		switch c.kind {
-		case Int64:
-			c.ints = append(c.ints, row[i].Int)
-		case Float64:
-			c.floats = append(c.floats, row[i].F)
-		case String:
-			idx, ok := c.dict[row[i].Str]
-			if !ok {
-				// Dictionary warm-up: inserts stop once the column's
-				// cardinality is seen, so the steady state is one map
-				// probe per cell.
-				idx = uint32(len(c.dictOrder))
-				c.dict[row[i].Str] = idx
-				c.dictOrder = append(c.dictOrder, row[i].Str)
+// inferKind is the narrowest kind every cell of column c parses as.
+func inferKind(cells [][]string, c int) Kind {
+	for _, k := range [...]Kind{Int64, Float64} {
+		ok := true
+		for _, row := range cells {
+			if _, err := parseCell(k, row[c]); err != nil {
+				ok = false
+				break
 			}
-			c.strIdx = append(c.strIdx, idx)
+		}
+		if ok {
+			return k
 		}
 	}
-	a.n++
-	if a.n >= a.batch {
-		return a.flush(false)
-	}
-	return nil
+	return String
 }
 
-// Buffered returns the number of rows appended but not yet flushed.
-func (a *Appender) Buffered() int { return a.n }
-
-// Flush writes any buffered rows as one segment. A crash before Flush
-// loses exactly the buffered rows and nothing else.
-func (a *Appender) Flush() error { return a.flush(false) }
-
-// Close flushes the tail batch. An appender that never wrote a
-// segment writes one empty segment so the store retains its schema
-// and meta even for a zero-row result. The appender must not be used
-// after Close.
-func (a *Appender) Close() error { return a.flush(!a.wrote) }
-
-func (a *Appender) flush(force bool) error {
-	if a.n == 0 && !force {
-		return nil
+func parseCell(kind Kind, s string) (Value, error) {
+	switch kind {
+	case Int64:
+		n, err := strconv.ParseInt(s, 10, 64)
+		return IntVal(n), err
+	case Float64:
+		f, err := strconv.ParseFloat(s, 64)
+		return FloatVal(f), err
 	}
-	buf := append(a.encBuf[:0], headerMagic...)
-	cols := a.segCols[:0]
-	for i := range a.cols {
-		c := &a.cols[i]
-		start := len(buf)
-		switch c.kind {
-		case Int64:
-			buf = encodeIntBlock(buf, c.ints)
-		case Float64:
-			buf = encodeFloatBlock(buf, c.floats)
-		case String:
-			buf = encodeStringBlock(buf, c.dictOrder, c.strIdx)
-		}
-		sum := sha256.Sum256(buf[start:])
-		cols = append(cols, segColumn{
-			Name:   a.st.schema[i].Name,
-			Kind:   c.kind.String(),
-			Offset: int64(start),
-			Length: int64(len(buf) - start),
-			SHA256: hex.EncodeToString(sum[:]),
-		})
-	}
-	footerBytes, err := json.Marshal(segFooter{
-		Kind:    footerKind,
-		Version: segVersion,
-		Rows:    a.n,
-		Meta:    a.meta,
-		Columns: cols,
-	})
+	return StrVal(s), nil
+}
+
+// Write replaces the store at path with rows under schema, atomically:
+// a crash leaves either the old file or the new one. Floats are
+// written in the shortest form that parses back to the same bits, so
+// Open(path, schema) returns exactly rows. A row whose shape or kinds
+// do not match the schema, or a name or string cell holding a comma, a
+// quote or a newline, is refused before anything is written.
+func Write(path string, schema Schema, rows [][]Value) error {
+	blob, err := encode(schema, rows)
 	if err != nil {
-		return fmt.Errorf("results: marshal segment footer: %w", err)
-	}
-	buf = append(buf, footerBytes...)
-	var trailer [trailerLen]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(len(footerBytes)))
-	sum := sha256.Sum256(footerBytes)
-	copy(trailer[8:], sum[:])
-	copy(trailer[8+sha256.Size:], trailerMagic)
-	buf = append(buf, trailer[:]...)
-	a.encBuf = buf[:0]
-	a.segCols = cols[:0]
-
-	path := filepath.Join(a.st.dir, fmt.Sprintf("seg-%08d.seg", a.st.nextSeq))
-	if err := checkpoint.WriteFileAtomic(path, buf, 0o644); err != nil {
 		return err
 	}
-	a.st.nextSeq++
-	a.st.segs = append(a.st.segs, segInfo{path: path, rows: a.n, meta: a.meta})
-	a.st.rows += int64(a.n)
-	a.wrote = true
+	return checkpoint.WriteFileAtomic(path, blob, 0o644)
+}
 
-	for i := range a.cols {
-		c := &a.cols[i]
-		c.ints = c.ints[:0]
-		c.floats = c.floats[:0]
-		c.strIdx = c.strIdx[:0]
-		c.dictOrder = c.dictOrder[:0]
-		clear(c.dict)
+// encode renders rows under schema as the file's bytes.
+func encode(schema Schema, rows [][]Value) ([]byte, error) {
+	var b bytes.Buffer
+	for i, c := range schema {
+		if err := checkText(c.Name); err != nil {
+			return nil, fmt.Errorf("results: column %d name: %w", i, err)
+		}
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(c.Name)
 	}
-	a.n = 0
+	b.WriteByte('\n')
+	for r, row := range rows {
+		if len(row) != len(schema) {
+			return nil, fmt.Errorf("results: row %d has %d cells, schema has %d", r, len(row), len(schema))
+		}
+		for c, v := range row {
+			if v.Kind != schema[c].Kind {
+				return nil, fmt.Errorf("results: row %d column %s is %v, cell is %v", r, schema[c].Name, schema[c].Kind, v.Kind)
+			}
+			if c > 0 {
+				b.WriteByte(',')
+			}
+			switch v.Kind {
+			case Int64:
+				b.WriteString(strconv.FormatInt(v.Int, 10))
+			case Float64:
+				b.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
+			default:
+				if err := checkText(v.Str); err != nil {
+					return nil, fmt.Errorf("results: row %d column %s: %w", r, schema[c].Name, err)
+				}
+				b.WriteString(v.Str)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.Bytes(), nil
+}
+
+// checkText refuses text that would not read back as one cell.
+func checkText(s string) error {
+	if strings.ContainsAny(s, ",\"\n") {
+		return fmt.Errorf("%q holds a comma, a quote or a newline", s)
+	}
 	return nil
 }
+
+// Path returns the store's file path.
+func (st *Store) Path() string { return st.path }
+
+// Schema returns the store's schema, inferred when Open had none.
+func (st *Store) Schema() Schema { return st.schema }
+
+// Rows returns the rows in file order. Callers must not modify them.
+func (st *Store) Rows() [][]Value { return st.rows }
