@@ -107,8 +107,8 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Print(res.Table().Render())
-	fmt.Printf("\n%s: %d-cell Pareto frontier over %d cells (%d survivors), %s\n",
-		spec.Name, len(res.Frontier), res.Total, res.Survivors, res.Quarantine.Summary())
+	fmt.Printf("\n%s: %d-cell Pareto frontier over %d cells (%d survivors), %d simulations, %s\n",
+		spec.Name, len(res.Frontier), res.Total, res.Survivors, res.Simulations, res.Quarantine.Summary())
 	if *csvPath != "" {
 		if err := checkpoint.WriteFileAtomic(*csvPath, []byte(res.CSV()), 0o644); err != nil {
 			return err

@@ -103,12 +103,18 @@ func runQuery(args []string, stdout io.Writer) error {
 		}
 		q.Aggs = append(q.Aggs, results.Agg{Op: op, Col: col})
 	}
+	// A store with no rows has no cells to infer kinds from, so every
+	// column reads as int64, and nothing for a filter to drop: a filter
+	// only has to name a column, and the answer is the header alone.
+	empty := len(st.Rows()) == 0
 	for _, w := range wheres {
-		f, err := parseWhere(st.Schema(), w)
+		f, err := parseWhere(st.Schema(), w, empty)
 		if err != nil {
 			return err
 		}
-		q.Filters = append(q.Filters, f)
+		if !empty {
+			q.Filters = append(q.Filters, f)
+		}
 	}
 	res, err := st.RunQuery(q)
 	if err != nil {
@@ -138,8 +144,9 @@ func runQuery(args []string, stdout io.Writer) error {
 }
 
 // parseWhere splits 'col OP value'. A value for a numeric column of
-// either kind parses as float64, the domain filters compare in.
-func parseWhere(schema results.Schema, s string) (results.Filter, error) {
+// either kind parses as float64, the domain filters compare in, unless
+// the kinds are unknown (untyped: the store has no rows).
+func parseWhere(schema results.Schema, s string, untyped bool) (results.Filter, error) {
 	for _, op := range []string{"<=", ">=", "==", "!=", "<", ">"} {
 		col, val, found := strings.Cut(s, op)
 		if !found {
@@ -155,7 +162,7 @@ func parseWhere(schema results.Schema, s string) (results.Filter, error) {
 			return results.Filter{}, fmt.Errorf("query: filter column %q not in schema", col)
 		}
 		f := results.Filter{Col: col, Op: cmp, Val: results.StrVal(val)}
-		if schema[ci].Kind != results.String {
+		if schema[ci].Kind != results.String && !untyped {
 			x, err := strconv.ParseFloat(val, 64)
 			if err != nil {
 				return results.Filter{}, fmt.Errorf("query: %q is not a number for column %s", val, col)

@@ -167,6 +167,42 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestHeaderOnlyStoreAnswersWithHeader: a store with no rows (a DSE
+// full stage with no survivors writes one) answers every query over
+// existing columns with the header alone, whatever kinds the filter
+// values have, and still refuses an unknown column.
+func TestHeaderOnlyStoreAnswersWithHeader(t *testing.T) {
+	store := writeStore(t, "cell,policy,tdpFraction,intervalMS,status,penaltyPct\n")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-where", "status==ok", "-agg", "count"}, "count\n"},
+		{[]string{"-where", "penaltyPct>1", "-where", "policy!=notest", "-agg", "mean:penaltyPct"}, "mean(penaltyPct)\n"},
+		{[]string{"-group-by", "policy,tdpFraction", "-where", "status==ok",
+			"-agg", "count,sum:penaltyPct,min:cell,max:intervalMS,p95:penaltyPct,mean:status"},
+			"policy,tdpFraction,count,sum(penaltyPct),min(cell),max(intervalMS),p95(penaltyPct),mean(status)\n"},
+	} {
+		args := append([]string{"query", "-store", store, "-csv"}, tc.args...)
+		if got := runOut(t, args...); got != tc.want {
+			t.Errorf("results %v: got %q, want %q", tc.args, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-where", "nope==ok"}, `filter column "nope" not in schema`},
+		{[]string{"-group-by", "nope"}, `group-by column "nope" not in schema`},
+		{[]string{"-agg", "mean:nope"}, `aggregate column "nope" not in schema`},
+	} {
+		err := run(append([]string{"query", "-store", store}, tc.args...), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("results %v: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 // TestMissingStoreFailsAndCreatesNothing: a mistyped -store is a
 // not-found error, and nothing is left behind.
 func TestMissingStoreFailsAndCreatesNothing(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"potsim/internal/batch"
@@ -45,9 +46,10 @@ type Engine struct {
 	GuardPolicy string
 
 	// CellTimeout, Retries and RetryBackoff are the per-cell robustness
-	// budget, applied around the whole cell (policy run plus its NoTest
-	// reference run); the backoff doubles per retry up to batch's
-	// default cap. Panics, timeouts and guard violations are never
+	// budget, applied around the whole cell: its policy run plus its
+	// NoTest reference run, which runs only when the stage has not run
+	// it already. The backoff doubles per retry up to batch's default
+	// cap. Panics, timeouts and guard violations are never
 	// retried — they are deterministic in this simulator, so retrying
 	// only delays the quarantine verdict.
 	CellTimeout  time.Duration
@@ -149,6 +151,11 @@ type Result struct {
 	Frontier   []FrontierRow
 	Quarantine QuarantineReport
 
+	// Simulations counts the expt.ExecuteCell runs this invocation
+	// completed, policy and reference runs alike; cells served from a
+	// journal add none.
+	Simulations int64
+
 	space *Space
 }
 
@@ -207,10 +214,11 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	var survivors []int64 // nil: the full space
 	if e.Spec.Screen != nil {
 		screenH := sim.FromSeconds(e.Spec.Screen.HorizonMS / 1000)
-		outcomes, err := e.runStage(ctx, space, fp, "screen", screenH, nil)
+		outcomes, sims, err := e.runStage(ctx, space, fp, "screen", screenH, nil)
 		if err != nil {
 			return nil, err
 		}
+		res.Simulations += sims
 		entries := make([]Entry, 0, len(outcomes))
 		for i, out := range outcomes {
 			switch {
@@ -223,6 +231,9 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 			}
 		}
 		survivors = Peel(entries, e.Spec.keepRanks())
+		if survivors == nil {
+			survivors = []int64{} // no survivors, not the whole space
+		}
 		res.Screened = res.Total
 		res.Survivors = int64(len(survivors))
 	} else {
@@ -230,10 +241,11 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	}
 
 	fullH := sim.FromSeconds(e.Spec.HorizonMS / 1000)
-	outcomes, err := e.runStage(ctx, space, fp, "full", fullH, survivors)
+	outcomes, sims, err := e.runStage(ctx, space, fp, "full", fullH, survivors)
 	if err != nil {
 		return nil, err
 	}
+	res.Simulations += sims
 	var fr Frontier
 	byIndex := make(map[int64]*CellMetrics, len(outcomes))
 	for i, out := range outcomes {
@@ -289,9 +301,10 @@ func (e *Engine) stageMeta(fp, stage string, horizon sim.Time, n int, survivors 
 
 // runStage executes one rung of the campaign over the given cell
 // indexes (nil: the whole space) at the given horizon, journaling every
-// verdict. The returned slice is positional: outcome i belongs to
+// verdict, and returns the outcomes with the number of simulations the
+// stage ran. The outcome slice is positional: outcome i belongs to
 // indexes[i] (or global cell i when indexes is nil).
-func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, horizon sim.Time, indexes []int64) (outcomes []cellOutcome, retErr error) {
+func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, horizon sim.Time, indexes []int64) (outcomes []cellOutcome, sims int64, retErr error) {
 	n := int(space.Count())
 	if indexes != nil {
 		n = len(indexes)
@@ -300,7 +313,7 @@ func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, h
 	meta := e.stageMeta(fp, stage, horizon, n, indexes)
 	j, cached, err := batch.OpenJournal(path, meta)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// A close failure means the last fsync'd state of the journal is in
 	// doubt: surface it as a stage error, never drop it.
@@ -311,6 +324,7 @@ func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, h
 	}()
 
 	e.beginStage(stage, n, len(cached))
+	runs := &stageRuns{noTest: make(map[string]CellMetrics)}
 
 	cellOpts := batch.Options{
 		CellTimeout:  e.CellTimeout,
@@ -329,7 +343,7 @@ func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, h
 				global = indexes[i]
 			}
 			p := space.Point(global)
-			m, err := e.runCellPair(cctx, space, p, horizon, cellOpts)
+			m, err := e.runCellPair(cctx, space, p, horizon, cellOpts, runs)
 			if err != nil {
 				if cctx.Err() != nil {
 					// Interrupted, not poisoned: leave the cell unjournaled
@@ -348,27 +362,36 @@ func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, h
 			return cellOutcome{M: m}, nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("dse: campaign stage %s: %w", stage, err)
+		return nil, 0, fmt.Errorf("dse: campaign stage %s: %w", stage, err)
 	}
 	if e.StoreDir != "" {
 		if err := e.writeStageStore(space, stage, indexes, outcomes); err != nil {
-			return nil, fmt.Errorf("dse: stage %s result store: %w", stage, err)
+			return nil, 0, fmt.Errorf("dse: stage %s result store: %w", stage, err)
 		}
 	}
 	e.report(n, n, true)
-	return outcomes, nil
+	return outcomes, runs.sims.Load(), nil
 }
 
 // runCellPair runs one cell — the policy run plus, for testing
 // policies, the NoTest reference run that anchors the throughput
-// penalty — under the per-cell robustness budget. Chaos injection (when
-// armed) targets only the policy run; the reference is an internal
-// detail of the penalty metric.
-func (e *Engine) runCellPair(ctx context.Context, space *Space, p Point, horizon sim.Time, opts batch.Options) (*CellMetrics, error) {
+// penalty — under the per-cell robustness budget. A NoTest run is
+// simulated only when the stage has not run it already (see
+// stageRuns). Chaos injection (when armed) targets only the policy run,
+// so a targeted notest cell simulates its own; the reference is an
+// internal detail of the penalty metric.
+func (e *Engine) runCellPair(ctx context.Context, space *Space, p Point, horizon sim.Time, opts batch.Options, runs *stageRuns) (*CellMetrics, error) {
 	return batch.Run(ctx, opts, func(ctx context.Context) (*CellMetrics, error) {
 		cfg := e.cellConfig(space, p, horizon)
+		if p.Policy == core.PolicyNoTest && !e.Chaos.Targets(p.Label()) {
+			m, err := runs.noTestRun(ctx, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return &m, nil
+		}
 		rep, err := e.Chaos.Run(ctx, p.Label(), func() (*core.Report, error) {
-			return expt.ExecuteCell(ctx, cfg, expt.CellOptions{})
+			return runs.execute(ctx, cfg)
 		})
 		if err != nil {
 			return nil, err
@@ -382,23 +405,84 @@ func (e *Engine) runCellPair(ctx context.Context, space *Space, p Point, horizon
 		if p.Policy != core.PolicyNoTest {
 			refCfg := e.cellConfig(space, p, horizon)
 			refCfg.TestPolicy = core.PolicyNoTest
-			ref, err = expt.ExecuteCell(ctx, refCfg, expt.CellOptions{})
+			refM, err := runs.noTestRun(ctx, refCfg)
 			if err != nil {
 				return nil, fmt.Errorf("dse: cell %s reference notest run: %w", p.Label(), err)
 			}
+			ref = &core.Report{ThroughputTasksPerSec: refM.TasksPerSec}
 		}
-		return &CellMetrics{
-			PenaltyPct:      100 * rep.ThroughputPenalty(ref),
-			CoveragePct:     100 * rep.LevelCoverage,
-			PeakTempK:       rep.PeakTempK,
-			HeadroomW:       rep.TDPWatts - rep.MeanPowerW,
-			MeanPowerW:      rep.MeanPowerW,
-			TDPWatts:        rep.TDPWatts,
-			TestEnergyPct:   100 * rep.TestEnergyShare,
-			TasksPerSec:     rep.ThroughputTasksPerSec,
-			DetectLatencyMS: rep.FaultStats.MeanLatency.Millis(),
-		}, nil
+		m := cellMetrics(rep, ref)
+		return &m, nil
 	})
+}
+
+// cellMetrics condenses a finished run into its cell's metrics. ref
+// carries the NoTest reference's throughput, all ThroughputPenalty
+// reads; the notest cell has none (nil) and no penalty.
+func cellMetrics(rep, ref *core.Report) CellMetrics {
+	return CellMetrics{
+		PenaltyPct:      100 * rep.ThroughputPenalty(ref),
+		CoveragePct:     100 * rep.LevelCoverage,
+		PeakTempK:       rep.PeakTempK,
+		HeadroomW:       rep.TDPWatts - rep.MeanPowerW,
+		MeanPowerW:      rep.MeanPowerW,
+		TDPWatts:        rep.TDPWatts,
+		TestEnergyPct:   100 * rep.TestEnergyShare,
+		TasksPerSec:     rep.ThroughputTasksPerSec,
+		DetectLatencyMS: rep.FaultStats.MeanLatency.Millis(),
+	}
+}
+
+// stageRuns is one stage's simulation ledger: the count of runs it
+// completed, and the NoTest memo — the metrics of every NoTest run the
+// stage finished, keyed by core.ConfigHash of its config. The memo
+// holds values, never a *core.Report a caller could mutate (chaos nan
+// poisons the report it is handed), and at most one entry per stage
+// cell, so it is dropped with the stage and bounded like its outcomes.
+type stageRuns struct {
+	sims   atomic.Int64
+	mu     sync.Mutex
+	noTest map[string]CellMetrics
+}
+
+// execute runs one simulation, counting it when it completes.
+func (r *stageRuns) execute(ctx context.Context, cfg core.Config) (*core.Report, error) {
+	rep, err := expt.ExecuteCell(ctx, cfg, expt.CellOptions{})
+	if err == nil {
+		r.sims.Add(1)
+	}
+	return rep, err
+}
+
+// noTestRun returns the metrics of the NoTest run of cfg, simulating it
+// only on a memo miss. The simulator is deterministic, so a hit is
+// bit-exact. There is no single-flight: workers that miss one key
+// together both run it and the first store wins, so no cell waits on
+// another's run and each watchdog times only its own cell's work. A
+// failed run is not stored; the next cell that needs it runs it again
+// and reaches the same verdict.
+func (r *stageRuns) noTestRun(ctx context.Context, cfg core.Config) (CellMetrics, error) {
+	key, err := core.ConfigHash(cfg)
+	if err != nil {
+		return CellMetrics{}, err
+	}
+	r.mu.Lock()
+	m, ok := r.noTest[key]
+	r.mu.Unlock()
+	if ok {
+		return m, nil
+	}
+	rep, err := r.execute(ctx, cfg)
+	if err != nil {
+		return CellMetrics{}, err
+	}
+	m = cellMetrics(rep, nil)
+	r.mu.Lock()
+	if _, ok := r.noTest[key]; !ok {
+		r.noTest[key] = m
+	}
+	r.mu.Unlock()
+	return m, nil
 }
 
 // cellConfig builds the cell's config with the engine's overrides.
@@ -497,8 +581,8 @@ func (e *Engine) finish(res *Result) {
 	}
 	e.mu.Unlock()
 	if w := e.Stderr; w != nil {
-		fmt.Fprintf(w, "dse: %s: done: %d-cell frontier from %d cells, %s\n",
-			res.Spec.Name, len(res.Frontier), res.Total, res.Quarantine.Summary())
+		fmt.Fprintf(w, "dse: %s: done: %d-cell frontier from %d cells, %d simulations, %s\n",
+			res.Spec.Name, len(res.Frontier), res.Total, res.Simulations, res.Quarantine.Summary())
 	}
 	e.writeStatus(st)
 }

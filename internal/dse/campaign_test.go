@@ -145,13 +145,21 @@ func TestCampaignQuarantinesPanickingCell(t *testing.T) {
 }
 
 func TestCampaignQuarantinesHangingCellViaWatchdog(t *testing.T) {
-	spec := testSpec(t, false)
+	// Four 4x4 cells at a 2 ms horizon: a healthy cell takes a few ms
+	// under -race, under a tenth of the watchdog, so a busy host cannot
+	// push one past it and only the hanging cell times out.
+	spec, err := ParseSpec([]byte(`{"name": "watchdog", "meshes": ["4x4"], "nodes": ["16nm"],
+  "tdpFractions": [0.4], "baseIntervalsMS": [20], "policies": ["pots", "notest"],
+  "seeds": 2, "horizonMS": 2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := &Engine{
 		Spec:        spec,
 		Dir:         t.TempDir(),
 		Workers:     2,
 		CellTimeout: 100 * time.Millisecond,
-		Chaos:       &expt.Chaos{Mode: "hang", Match: "mesh=8x4 node=16nm tdp=0.4 iv=20ms policy=pots seed=1"},
+		Chaos:       &expt.Chaos{Mode: "hang", Match: "mesh=4x4 node=16nm tdp=0.4 iv=20ms policy=pots seed=1"},
 	}
 	res := runCampaign(t, e)
 	if len(res.Quarantine.Cells) != 1 || res.Quarantine.Cells[0].Class != QuarantineTimeout {
@@ -186,6 +194,40 @@ func TestCampaignRefusesForeignJournal(t *testing.T) {
 	other.Seeds = 1
 	if _, err := (&Engine{Spec: other, Dir: dir, Resume: true}).Run(context.Background()); err == nil {
 		t.Fatal("campaign resumed against a different spec's journal")
+	}
+}
+
+// TestCampaignWithNoSurvivorsRunsNoFullStage: when the screen
+// quarantines every cell, the full stage has no cells to run (an empty
+// survivor set is not "the whole space"), so each cell is quarantined
+// once and the full-stage store holds only its header.
+func TestCampaignWithNoSurvivorsRunsNoFullStage(t *testing.T) {
+	spec := testSpec(t, true)
+	stores := t.TempDir()
+	res := runCampaign(t, &Engine{Spec: spec, Dir: t.TempDir(), Workers: 2, StoreDir: stores,
+		Chaos: &expt.Chaos{Mode: "panic", Match: "mesh="}})
+	if res.Survivors != 0 || res.Simulations != 0 {
+		t.Fatalf("Survivors = %d, Simulations = %d; want 0 and 0", res.Survivors, res.Simulations)
+	}
+	if got := int64(len(res.Quarantine.Cells)); got != res.Total {
+		t.Fatalf("%d cells quarantined, want each of the %d once", got, res.Total)
+	}
+	seen := map[int64]bool{}
+	for _, q := range res.Quarantine.Cells {
+		if seen[q.Index] || q.Stage != "screen" {
+			t.Fatalf("cell %d quarantined twice or outside the screen: %+v", q.Index, res.Quarantine.Cells)
+		}
+		seen[q.Index] = true
+	}
+	if n := int64(strings.Count(res.CSV(), "quarantined:panic")); n != res.Total {
+		t.Fatalf("frontier CSV has %d gap rows, want %d:\n%s", n, res.Total, res.CSV())
+	}
+	blob, err := os.ReadFile(StageStorePath(stores, "full"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(blob), "\n"); lines != 1 {
+		t.Fatalf("full-stage store has %d lines, want the header only:\n%s", lines, blob)
 	}
 }
 

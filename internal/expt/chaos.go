@@ -48,16 +48,17 @@ func ParseChaos(s string) (*Chaos, error) {
 	return &Chaos{Mode: mode, Match: match}, nil
 }
 
-// matches reports whether the cell labelled label is targeted.
-func (c *Chaos) matches(label string) bool {
-	return c.Match == "" || strings.Contains(label, c.Match)
+// Targets reports whether the cell labelled label is targeted; a nil
+// receiver targets nothing.
+func (c *Chaos) Targets(label string) bool {
+	return c != nil && (c.Match == "" || strings.Contains(label, c.Match))
 }
 
 // Run executes one cell; real is the untampered simulation. Cells the
 // receiver does not target run real unchanged, and so does every cell
 // when the receiver is nil, so cell executors call it unconditionally.
 func (c *Chaos) Run(ctx context.Context, label string, real func() (*core.Report, error)) (*core.Report, error) {
-	if c == nil || !c.matches(label) {
+	if !c.Targets(label) {
 		return real()
 	}
 	switch c.Mode {

@@ -23,8 +23,11 @@ func TestParseChaos(t *testing.T) {
 	if c.Mode != "panic" || c.Match != "seed=2" {
 		t.Errorf("parsed %+v", c)
 	}
-	if !c.matches("mapper=NN seed=2") || c.matches("mapper=NN seed=3") {
+	if !c.Targets("mapper=NN seed=2") || c.Targets("mapper=NN seed=3") {
 		t.Error("label matching broken")
+	}
+	if (*Chaos)(nil).Targets("mapper=NN seed=2") {
+		t.Error("a nil Chaos targets a cell")
 	}
 }
 
