@@ -2,18 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint lint-fix-report lint-sarif bench bench-gate bench-baseline experiments quick-experiments examples fmt clean
-
-# Benchmarks gated against bench/baseline.txt by bench-gate (and CI).
-# cmd/benchreport also holds BenchmarkNoCStep to 0 allocs/op (see its
-# -max-allocs default).
-BENCH_GATE = BenchmarkSystemEpoch$$|BenchmarkNoCStep$$|BenchmarkThermalStep$$|BenchmarkSystemRun32$$
-# Packages holding gated benchmarks (root suite + thermal kernel).
-BENCH_PKGS = . ./internal/thermal
-BENCH_COUNT ?= 5
-# Longer per-run benchtime damps scheduler noise so the 10% gate
-# threshold measures the code, not the machine.
-BENCH_TIME ?= 2s
+.PHONY: all build vet test lint lint-fix-report lint-sarif bench experiments quick-experiments examples fmt clean
 
 all: build vet test
 
@@ -46,22 +35,11 @@ lint-sarif:
 	$(GO) run ./cmd/potlint -sarif ./... > potlint.sarif; \
 	status=$$?; cat potlint.sarif; exit $$status
 
-# Regenerate every reproduction benchmark (quick mode) with allocations,
-# keeping the raw capture and a dated JSON summary (see cmd/benchreport).
+# One trajectory point: potbench's host-scaled runs of every workload
+# (seeds 1-3) plus one traced run each, as bench/BENCH_<date>.json. To
+# judge a change against its parent, run `bash bench/pairs.sh BASE`.
 bench:
-	$(GO) test -run=NONE -bench=. -benchmem ./... | tee bench/latest.txt
-	$(GO) run ./cmd/benchreport -out BENCH_$$(date +%Y%m%d).json bench/latest.txt
-
-# Re-measure the gated hot-path benchmarks and fail on a >10% mean
-# ns/op regression against the committed baseline.
-bench-gate:
-	$(GO) test -run=NONE -bench='$(BENCH_GATE)' -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) $(BENCH_PKGS) | tee bench/latest-gate.txt
-	$(GO) run ./cmd/benchreport -check -baseline bench/baseline.txt bench/latest-gate.txt
-
-# Refresh the committed baseline (run on a quiet machine, then commit
-# bench/baseline.txt together with the change that moved the numbers).
-bench-baseline:
-	$(GO) test -run=NONE -bench='$(BENCH_GATE)' -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) $(BENCH_PKGS) | tee bench/baseline.txt
+	bash bench/potbench/run.sh record -label "$$(git describe --always --dirty)" -sets a -n 3 -out bench/BENCH_$$(date +%Y%m%d).json
 
 # Full paper-reproduction suite (several minutes; writes results/*.csv).
 experiments:

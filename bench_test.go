@@ -1,6 +1,6 @@
 package potsim
 
-// One benchmark per reproduced table/figure (E1..E10, see DESIGN.md).
+// One benchmark per reproduced table/figure (E1..E19, see DESIGN.md).
 // Each bench regenerates its experiment in quick mode and logs the table,
 // so `go test -bench=. -benchmem` re-prints the rows the paper reports.
 // Additional micro-benchmarks cover the hot paths of the substrates.
@@ -52,33 +52,30 @@ func BenchmarkE10Ablations(b *testing.B)            { benchExperiment(b, "E10") 
 // BenchmarkSystemEpoch measures one steady-state control epoch on the
 // default 8x8 setup: interval integration, invariant checks, power
 // control and test scheduling, with the system built once outside the
-// timed region. This is the allocation-gated hot path (0 allocs/op);
-// the whole-run shape lives in BenchmarkSystemRun. The sub-benchmark
-// keeps its historical name "serial" so committed baseline rows still
-// match.
+// timed region. Its steady state is alloc-free (pinned by
+// core.TestEpochZeroAllocSteadyState); the whole-run shape lives in
+// BenchmarkSystemRun.
 func BenchmarkSystemEpoch(b *testing.B) {
-	b.Run("serial", func(b *testing.B) {
-		cfg := core.DefaultConfig()
-		cfg.TraceEvery = 0                // retained trace rows are not epoch work
-		cfg.SchedOptions.MaxTestTempK = 1 // launches allocate executions by design
-		sys, err := core.New(cfg)
-		if err != nil {
+	cfg := core.DefaultConfig()
+	cfg.TraceEvery = 0                // retained trace rows are not epoch work
+	cfg.SchedOptions.MaxTestTempK = 1 // launches allocate executions by design
+	sys, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := sys.StepEpoch(); err != nil {
 			b.Fatal(err)
 		}
-		for i := 0; i < 8; i++ {
-			if err := sys.StepEpoch(); err != nil {
-				b.Fatal(err)
-			}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.StepEpoch(); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sys.StepEpoch(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(cfg.Epoch.Seconds()*1e3*float64(b.N)/b.Elapsed().Seconds(), "sim-ms/s")
-	})
+	}
+	b.ReportMetric(cfg.Epoch.Seconds()*1e3*float64(b.N)/b.Elapsed().Seconds(), "sim-ms/s")
 }
 
 // BenchmarkSystemRun measures the full simulation rate — assembly,
@@ -199,8 +196,8 @@ func BenchmarkE18Segmentation(b *testing.B) { benchExperiment(b, "E18") }
 func BenchmarkE19LargeMesh(b *testing.B) { benchExperiment(b, "E19") }
 
 // BenchmarkBatchRunner measures the intra-experiment worker pool on a
-// real cell sweep (E5's five mappers in quick mode): workers=1 is the
-// sequential baseline, workers=NumCPU the fan-out. The ratio of the two
+// real cell sweep (E5's five mappers in quick mode): workers=1 runs the
+// cells in sequence, workers=NumCPU fans them out. The ratio of the two
 // is the wall-clock speedup the -workers flag buys; the outputs are
 // asserted identical elsewhere (expt.TestE1GoldenAcrossWorkerCounts).
 func BenchmarkBatchRunner(b *testing.B) {

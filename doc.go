@@ -48,7 +48,7 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // New assembles a system from a configuration.
 func New(cfg Config) (*System, error) { return core.New(cfg) }
 
-// ExperimentIDs lists the reproduced experiments (E1..E10).
+// ExperimentIDs lists the reproduced experiments (E1..E19).
 func ExperimentIDs() []string { return expt.IDs() }
 
 // RunExperiment regenerates one experiment; quick mode shrinks horizons

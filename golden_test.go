@@ -1,23 +1,23 @@
 package potsim_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"os"
-	"strings"
 	"testing"
 
 	"potsim/internal/core"
+	"potsim/internal/dse"
 	"potsim/internal/expt"
 	"potsim/internal/sim"
 )
 
 // TestBenchmarkGoldenDigests recomputes the output digests that the
 // benchmark module pins in bench/potbench/golden.json, so a plain
-// `go test ./...` fails when a simulation's report or a quick-suite
-// table moves. The file is only read. Its campaign digests stay with the
-// benchmark module's own test.
+// `go test ./...` fails when a simulation's report, a campaign frontier
+// or a quick-suite table moves. The file is only read.
 func TestBenchmarkGoldenDigests(t *testing.T) {
 	raw, err := os.ReadFile("bench/potbench/golden.json")
 	if err != nil {
@@ -78,6 +78,28 @@ func TestBenchmarkGoldenDigests(t *testing.T) {
 		}
 	}
 
+	// The campaign workload: the frontier of its fixed check campaign and
+	// of its seed-1 campaign, specs as bench/potbench/campaign.go writes
+	// them.
+	for _, c := range []struct{ key, spec string }{
+		{"campaign/check", `{"name":"potbench-check","meshes":["8x8"],"nodes":["16nm"],` +
+			`"tdpFractions":[0.35,0.5],"baseIntervalsMS":[20],"policies":["pots","notest"],` +
+			`"seeds":2,"horizonMS":40,"screen":{"horizonMS":10,"keepRanks":1}}`},
+		{"campaign/seed1", `{"name":"potbench-1","meshes":["8x8"],"nodes":["22nm","16nm"],` +
+			`"tdpFractions":[0.25,0.35,0.5],"baseIntervalsMS":[20,50],"policies":["pots","naive","notest"],` +
+			`"seeds":2,"horizonMS":60,"screen":{"horizonMS":15,"keepRanks":2}}`},
+	} {
+		spec, err := dse.ParseSpec([]byte(c.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := (&dse.Engine{Spec: spec, Dir: t.TempDir(), Workers: 2}).Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		check(c.key, []byte(res.CSV()))
+	}
+
 	runner := &expt.Runner{Quick: true, Workers: 2}
 	for _, id := range expt.IDs() {
 		res, err := runner.Run(id)
@@ -87,7 +109,7 @@ func TestBenchmarkGoldenDigests(t *testing.T) {
 		check("quick-suite/"+id, []byte(res.Render()))
 	}
 	for key := range golden {
-		if !checked[key] && !strings.HasPrefix(key, "campaign/") {
+		if !checked[key] {
 			t.Errorf("golden.json pins %s, which this test does not recompute", key)
 		}
 	}

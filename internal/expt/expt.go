@@ -1,5 +1,5 @@
 // Package expt is the experiment harness: it regenerates every table and
-// figure of the reproduction (E1..E10 in DESIGN.md) from the simulator,
+// figure of the reproduction (E1..E19 in DESIGN.md) from the simulator,
 // printing the same rows/series the paper's evaluation reports.
 //
 // Each experiment has a full mode (several seeds, longer horizons — what
