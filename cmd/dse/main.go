@@ -62,8 +62,6 @@ func run(args []string) error {
 	quarantineReport := fs.String("quarantine-report", "", "write the quarantine record as JSON")
 	statusFile := fs.String("status-file", "", "atomically rewrite campaign progress JSON here")
 	cellTimeout := fs.Duration("cell-timeout", 2*time.Minute, "watchdog deadline per campaign cell (0 = none)")
-	retries := fs.Int("retries", 1, "retry budget per campaign cell")
-	retryBackoff := fs.Duration("retry-backoff", 100*time.Millisecond, "base retry backoff (doubles per retry, capped at 10x)")
 	chaosFlag := fs.String("chaos", "", "inject failures into matching cells: mode[:labelsubstring] (testing only)")
 	csvPath := fs.String("csv", "", "write the frontier as CSV")
 	storeDir := fs.String("store", "", "write per-stage result stores (<root>/screen.csv, <root>/full.csv) under this root (query with cmd/results)")
@@ -85,17 +83,15 @@ func run(args []string) error {
 		return err
 	}
 	eng := &dse.Engine{
-		Spec:         spec,
-		Dir:          *dir,
-		Resume:       *resume,
-		Workers:      *workers,
-		CellTimeout:  *cellTimeout,
-		Retries:      *retries,
-		RetryBackoff: *retryBackoff,
-		Chaos:        chaos,
-		Stderr:       os.Stderr,
-		StatusPath:   *statusFile,
-		StoreDir:     *storeDir,
+		Spec:        spec,
+		Dir:         *dir,
+		Resume:      *resume,
+		Workers:     *workers,
+		CellTimeout: *cellTimeout,
+		Chaos:       chaos,
+		Stderr:      os.Stderr,
+		StatusPath:  *statusFile,
+		StoreDir:    *storeDir,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -25,19 +25,21 @@
 //     drains promptly, while a wedged one leaks its goroutine instead of
 //     hanging the whole batch.
 //   - Bounded retry: with Retries > 0, a failed attempt is retried after
-//     a backoff. Panics and timeouts are not retried by default (a
-//     deterministic cell will just fail the same way again); RetryIf
-//     overrides that. Exhausting the budget aggregates every attempt's
-//     error.
+//     a backoff. Panics, timeouts and guard violations are never retried
+//     (a deterministic cell fails the same way again). Exhausting the
+//     budget aggregates every attempt's error.
 package batch
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
+
+	"potsim/internal/guard"
 )
 
 // Options configure one batch execution.
@@ -59,61 +61,37 @@ type Options struct {
 	CellTimeout time.Duration
 
 	// Retries is the number of additional attempts after a failed first
-	// one (0, the default, means fail fast). Attempts whose error is a
-	// *PanicError or *TimeoutError are not retried unless RetryIf says
-	// otherwise.
+	// one (0, the default, means fail fast). Attempts that fail in a way
+	// no retry can change (see retryable) are not retried.
 	Retries int
 
 	// RetryBackoff is the pause before the first retry; each further
-	// retry doubles it, up to RetryBackoffMax. Zero means retry
-	// immediately.
+	// retry doubles it, up to 10x RetryBackoff, so a deep retry budget
+	// cannot grow the pause without bound. Zero means retry immediately.
 	RetryBackoff time.Duration
-
-	// RetryBackoffMax caps the doubling backoff so a deep retry budget
-	// cannot grow the pause without bound (8 retries at a 1 s base would
-	// otherwise reach 128 s). Zero selects the default cap of 10x
-	// RetryBackoff; negative disables the cap.
-	RetryBackoffMax time.Duration
-
-	// RetryIf decides whether a failed attempt is worth retrying. Nil
-	// selects the default: retry anything except panics and timeouts.
-	RetryIf func(error) bool
 }
 
 // backoffAfter returns the pause before the retry that follows the
 // given number of failed attempts (failures >= 1): RetryBackoff doubled
-// per further failure, clamped to the effective RetryBackoffMax. The
-// sequence is deterministic — base, 2x, 4x, ..., max, max — so retry
-// schedules are reproducible and testable.
+// per further failure, clamped to 10x RetryBackoff. The sequence is
+// deterministic — base, 2x, 4x, 8x, 10x, 10x — so retry schedules are
+// reproducible and testable.
 func (o Options) backoffAfter(failures int) time.Duration {
 	if o.RetryBackoff <= 0 || failures < 1 {
 		return 0
 	}
-	max := o.RetryBackoffMax
-	if max == 0 {
-		max = 10 * o.RetryBackoff
+	limit := time.Duration(math.MaxInt64)
+	if o.RetryBackoff <= limit/10 {
+		limit = 10 * o.RetryBackoff
 	}
 	b := o.RetryBackoff
-	for i := 1; i < failures; i++ {
+	for i := 1; i < failures && b < limit; i++ {
 		b *= 2
-		if max > 0 && b >= max {
-			return max
-		}
-		if b <= 0 { // overflow far beyond any real cap
-			return maxDuration(o.RetryBackoff, max)
+		if b <= 0 { // doubling overflowed: only a near-MaxInt64 limit gets here
+			return limit
 		}
 	}
-	if max > 0 && b > max {
-		return max
-	}
-	return b
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
+	return min(b, limit)
 }
 
 // workers resolves the effective pool size for n cells.
@@ -165,16 +143,16 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("cell %d exceeded its %v deadline", e.Index, e.Timeout)
 }
 
-// retryable applies Options.RetryIf, defaulting to "anything except a
-// panic or a timeout": both are near-certain to repeat in a deterministic
-// simulation, so burning the retry budget on them only delays the report.
-func (o Options) retryable(err error) bool {
-	if o.RetryIf != nil {
-		return o.RetryIf(err)
-	}
+// retryable reports whether a failed attempt is worth another: anything
+// except a panic, a watchdog timeout or a runtime invariant violation.
+// Those repeat identically in a deterministic simulation (a resumed run
+// restarts from a snapshot taken before the violation), so burning the
+// retry budget on them only delays the report.
+func retryable(err error) bool {
 	var pe *PanicError
 	var te *TimeoutError
-	return !errors.As(err, &pe) && !errors.As(err, &te)
+	var ve *guard.ViolationError
+	return !errors.As(err, &pe) && !errors.As(err, &te) && !errors.As(err, &ve)
 }
 
 // Map runs fn(ctx, i) for every i in [0, n) on a worker pool and returns
@@ -276,7 +254,7 @@ func runAttempts[T any](ctx context.Context, opts Options, i int, fn func(contex
 	}
 	attemptErrs := []error{fmt.Errorf("attempt 1: %w", err)}
 	for a := 2; a <= opts.Retries+1; a++ {
-		if !opts.retryable(err) || ctx.Err() != nil {
+		if !retryable(err) || ctx.Err() != nil {
 			break
 		}
 		if backoff := opts.backoffAfter(a - 1); backoff > 0 {

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"potsim/internal/guard"
 )
 
 func TestMapOrderedResults(t *testing.T) {
@@ -384,43 +386,31 @@ func TestMapPanicsAndTimeoutsNotRetriedByDefault(t *testing.T) {
 	}
 }
 
-func TestMapRetryIfOverridesDefault(t *testing.T) {
+// TestGuardViolationsNeverRetried: a cell that broke a runtime invariant
+// breaks it again on every attempt (a resumed sim restarts from a
+// snapshot taken before the violation), so a retry budget must not re-run
+// it, even when the violation arrives wrapped.
+func TestGuardViolationsNeverRetried(t *testing.T) {
 	var attempts atomic.Int32
 	_, err := Map(context.Background(),
-		Options{
-			Workers: 1, Retries: 2,
-			RetryIf: func(err error) bool { return false },
-		}, 1,
+		Options{Workers: 1, Retries: 2}, 1,
 		func(ctx context.Context, i int) (int, error) {
-			return 0, fmt.Errorf("glitch %d", attempts.Add(1))
+			attempts.Add(1)
+			return 0, fmt.Errorf("cell run: %w", &guard.ViolationError{
+				V: guard.Violation{Invariant: "temp-bounds", Detail: "core 3 at 900 K"}})
 		})
-	if err == nil {
-		t.Fatal("want failure")
+	var ve *guard.ViolationError
+	if !errors.As(err, &ve) {
+		t.Fatalf("want a guard violation, got %v", err)
 	}
 	if got := attempts.Load(); got != 1 {
-		t.Errorf("RetryIf=false still attempted %d times, want 1", got)
+		t.Errorf("violating cell attempted %d times, want 1", got)
 	}
 }
 
-// TestBackoffSequenceIsCapped: the retry pause doubles from the base and
-// clamps at RetryBackoffMax — base, 2x, 4x, ..., max, max — so a deep
-// retry budget cannot grow the pause without bound and the schedule is
-// deterministic.
-func TestBackoffSequenceIsCapped(t *testing.T) {
-	opts := Options{RetryBackoff: 10 * time.Millisecond, RetryBackoffMax: 40 * time.Millisecond}
-	want := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		40 * time.Millisecond, 40 * time.Millisecond, 40 * time.Millisecond,
-	}
-	for i, w := range want {
-		if got := opts.backoffAfter(i + 1); got != w {
-			t.Errorf("backoffAfter(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-}
-
-// TestBackoffDefaultCapIsTenTimesBase: leaving RetryBackoffMax zero caps
-// the doubling at 10x the base instead of letting it run away.
+// TestBackoffDefaultCapIsTenTimesBase: the retry pause doubles from the
+// base and clamps at 10x the base instead of letting a deep retry budget
+// run it away.
 func TestBackoffDefaultCapIsTenTimesBase(t *testing.T) {
 	opts := Options{RetryBackoff: time.Second}
 	want := []time.Duration{
@@ -432,19 +422,14 @@ func TestBackoffDefaultCapIsTenTimesBase(t *testing.T) {
 			t.Errorf("backoffAfter(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	// A negative cap disables clamping entirely.
-	uncapped := Options{RetryBackoff: time.Millisecond, RetryBackoffMax: -1}
-	if got := uncapped.backoffAfter(6); got != 32*time.Millisecond {
-		t.Errorf("uncapped backoffAfter(6) = %v, want 32ms", got)
-	}
 	// No base means no pause whatever the attempt count.
 	if got := (Options{}).backoffAfter(3); got != 0 {
 		t.Errorf("zero-base backoffAfter(3) = %v, want 0", got)
 	}
 	// Doubling that overflows time.Duration falls back to the cap, never
 	// to a negative pause.
-	huge := Options{RetryBackoff: time.Duration(1) << 61, RetryBackoffMax: -1}
-	if got := huge.backoffAfter(4); got < 0 {
-		t.Errorf("overflowed backoff is negative: %v", got)
+	huge := Options{RetryBackoff: time.Duration(1) << 61}
+	if got := huge.backoffAfter(4); got < huge.RetryBackoff {
+		t.Errorf("overflowed backoff %v is below its base", got)
 	}
 }

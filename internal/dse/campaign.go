@@ -18,7 +18,6 @@ import (
 	"potsim/internal/checkpoint"
 	"potsim/internal/core"
 	"potsim/internal/expt"
-	"potsim/internal/guard"
 	"potsim/internal/metrics"
 	"potsim/internal/sim"
 )
@@ -45,16 +44,14 @@ type Engine struct {
 	// which the engine then quarantines as class "guard").
 	GuardPolicy string
 
-	// CellTimeout, Retries and RetryBackoff are the per-cell robustness
-	// budget, applied around the whole cell: its policy run plus its
-	// NoTest reference run, which runs only when the stage has not run
-	// it already. The backoff doubles per retry up to batch's default
-	// cap. Panics, timeouts and guard violations are never
-	// retried — they are deterministic in this simulator, so retrying
-	// only delays the quarantine verdict.
-	CellTimeout  time.Duration
-	Retries      int
-	RetryBackoff time.Duration
+	// CellTimeout is the per-cell watchdog, applied around the whole
+	// cell: its policy run plus its NoTest reference run, which runs only
+	// when the stage has not run it already. A failed cell is not
+	// retried: a cell runs in memory, so every failure it can have
+	// (config validation, the report sanity gate, a panic, a timeout, a
+	// guard violation) repeats identically, and the engine quarantines
+	// it at once.
+	CellTimeout time.Duration
 
 	// Chaos, when set, injects failures into matching cells (tests and
 	// the CI smoke only).
@@ -326,12 +323,7 @@ func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, h
 	e.beginStage(stage, n, len(cached))
 	runs := &stageRuns{noTest: make(map[string]CellMetrics)}
 
-	cellOpts := batch.Options{
-		CellTimeout:  e.CellTimeout,
-		Retries:      e.Retries,
-		RetryBackoff: e.RetryBackoff,
-		RetryIf:      func(err error) bool { return !unretryable(err) },
-	}
+	cellOpts := batch.Options{CellTimeout: e.CellTimeout}
 	mapOpts := batch.Options{
 		Workers:    e.Workers,
 		OnCellDone: func(done, total int) { e.report(done, total, false) },
@@ -375,7 +367,7 @@ func (e *Engine) runStage(ctx context.Context, space *Space, fp, stage string, h
 
 // runCellPair runs one cell — the policy run plus, for testing
 // policies, the NoTest reference run that anchors the throughput
-// penalty — under the per-cell robustness budget. A NoTest run is
+// penalty — under the per-cell watchdog. A NoTest run is
 // simulated only when the stage has not run it already (see
 // stageRuns). Chaos injection (when armed) targets only the policy run,
 // so a targeted notest cell simulates its own; the reference is an
@@ -492,16 +484,6 @@ func (e *Engine) cellConfig(space *Space, p Point, horizon sim.Time) core.Config
 		cfg.GuardPolicy = e.GuardPolicy
 	}
 	return cfg
-}
-
-// unretryable marks the failure classes retrying cannot fix in a
-// deterministic simulator: panics, watchdog timeouts and guard
-// violations repeat identically on every attempt.
-func unretryable(err error) bool {
-	var pe *batch.PanicError
-	var te *batch.TimeoutError
-	var ve *guard.ViolationError
-	return errors.As(err, &pe) || errors.As(err, &te) || errors.As(err, &ve)
 }
 
 // flattenError renders an aggregated attempt error for the quarantine

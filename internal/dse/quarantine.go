@@ -11,9 +11,8 @@ import (
 	"potsim/internal/guard"
 )
 
-// Quarantine failure classes, in the order they are probed: a cell that
-// both panicked and timed out across attempts reports the first class
-// found in its error chain.
+// Quarantine failure classes, in the order they are probed along a
+// cell's error chain.
 const (
 	QuarantinePanic   = "panic"
 	QuarantineTimeout = "timeout"
@@ -21,9 +20,8 @@ const (
 	QuarantineError   = "error"
 )
 
-// QuarantineEntry records one poisoned cell: a cell that exhausted its
-// retry budget (or failed an unretryable way) and was excluded from the
-// campaign rather than aborting it. The entry is journaled like any
+// QuarantineEntry records one poisoned cell: a cell that failed and was
+// excluded from the campaign rather than aborting it. The entry is journaled like any
 // completed cell, so a resumed campaign does not re-run a cell that
 // already proved itself poisonous.
 type QuarantineEntry struct {
@@ -41,9 +39,8 @@ type QuarantineEntry struct {
 	Error string `json:"error"`
 }
 
-// classifyQuarantine maps a cell's terminal error onto the quarantine
-// taxonomy by walking its chain (the batch pool aggregates one wrapped
-// error per attempt).
+// classifyQuarantine maps a cell's error onto the quarantine taxonomy by
+// walking its chain.
 func classifyQuarantine(err error) string {
 	var pe *batch.PanicError
 	if errors.As(err, &pe) {

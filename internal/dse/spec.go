@@ -14,12 +14,12 @@
 //     stage) makes the whole campaign kill-anywhere resumable: a run
 //     SIGKILLed at any instant resumes against the same directory and
 //     produces a byte-identical final frontier at any worker count.
-//   - A cell that exhausts its retry budget — panic, watchdog timeout,
-//     guard violation, plain error — lands in a quarantine record:
-//     reported, durably journaled, excluded from the frontier, and the
-//     campaign continues. The result is a partial frontier with
-//     explicit gap rows, never an aborted campaign.
-//   - Retry backoff is capped and deterministic (batch.RetryBackoffMax).
+//   - A cell that fails — panic, watchdog timeout, guard violation,
+//     plain error — lands in a quarantine record: reported, durably
+//     journaled, excluded from the frontier, and the campaign continues.
+//     The result is a partial frontier with explicit gap rows, never an
+//     aborted campaign. A cell runs in memory and the simulator is
+//     deterministic, so a failed cell is not retried.
 //   - Progress, ETA and quarantine statistics stream to stderr and an
 //     atomically-rewritten status file.
 package dse
