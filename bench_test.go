@@ -14,7 +14,6 @@ import (
 	"potsim/internal/batch"
 	"potsim/internal/core"
 	"potsim/internal/expt"
-	"potsim/internal/noc"
 	"potsim/internal/sim"
 )
 
@@ -117,45 +116,6 @@ func BenchmarkSystemRun32(b *testing.B) {
 		}
 	}
 	b.ReportMetric(50*float64(b.N)/b.Elapsed().Seconds(), "sim-ms/s")
-}
-
-// BenchmarkNoCStep measures flit-level router cycles per second on an
-// 8x8 mesh in the exact shape of the per-epoch co-simulation loop:
-// inject, step, release delivered packets back to the freelist. The
-// offered load (0.15 flits/node/cycle) sits below this mesh's
-// saturation point so the network genuinely reaches steady state —
-// at saturating loads the queues deepen without bound and no
-// allocation pin can hold. Steady state is alloc-free (pinned by
-// noc.TestStepSteadyStateZeroAlloc).
-func BenchmarkNoCStep(b *testing.B) {
-	net, err := noc.NewNetwork(noc.DefaultConfig(8, 8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen, err := noc.NewGenerator(net, noc.Uniform,
-		sim.NewRNG(1).Stream("bench"), 0.15, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm past the transient: freelist, FIFOs and staging slices reach
-	// their steady-state capacities.
-	for i := 0; i < 4096; i++ {
-		if err := gen.Tick(); err != nil {
-			b.Fatal(err)
-		}
-		net.Step()
-		net.ReleaseDelivered(len(net.Delivered()))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := gen.Tick(); err != nil {
-			b.Fatal(err)
-		}
-		net.Step()
-		net.ReleaseDelivered(len(net.Delivered()))
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 }
 
 // BenchmarkPublicAPI exercises the façade the README quickstart shows.

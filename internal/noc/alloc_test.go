@@ -16,7 +16,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := NewGenerator(net, Uniform, sim.NewRNG(1).Stream("alloc"), 0.15, 4)
+	gen, err := NewGenerator(net, sim.NewRNG(1).Stream("alloc"), 0.15, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

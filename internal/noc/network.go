@@ -94,7 +94,6 @@ type move struct {
 	from     *router
 	fromPort Port
 	fromVC   int
-	outPort  Port    // output port used at 'from' (link identity)
 	to       *router // nil = ejection at 'from'
 	toPort   Port
 	toVC     int
@@ -114,19 +113,6 @@ type Network struct {
 	// free recycles Packet structs released via ReleaseDelivered, so a
 	// steady-state co-simulation injects without allocating.
 	free []*Packet
-
-	// Streaming aggregates over released packets: Summarise stays exact
-	// for count/mean/max even after their structs are recycled.
-	relCount  int64
-	relLatSum int64
-	relHopSum int64
-	relMaxLat int64
-
-	flitsMoved   int64
-	flitsEjected int64
-
-	// linkFlits[router][outPort] counts flits that traversed that link.
-	linkFlits [][]int64
 
 	// staged per-cycle state: the decided flit transfers plus the list of
 	// destination VCs whose incoming counters must be reset next cycle.
@@ -161,17 +147,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 				r.vcTotal += vcs
 			}
 			n.routers = append(n.routers, r)
-			n.linkFlits = append(n.linkFlits, make([]int64, numPorts))
 		}
 	}
 	return n, nil
 }
-
-// Cycle returns the current router clock cycle.
-func (n *Network) Cycle() int64 { return n.cycle }
-
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 func (n *Network) routerAt(c Coord) *router {
 	return n.routers[c.Y*n.cfg.Width+c.X]
@@ -234,41 +213,13 @@ func routeXY(at, dst Coord) Port {
 	}
 }
 
-// route keeps the original single-path name for XY.
-func route(at, dst Coord) Port { return routeXY(at, dst) }
-
-// routeCandidates returns the minimal output ports allowed by the
-// configured routing algorithm, in preference order. XY yields exactly
-// one; west-first yields up to three adaptive candidates (the Glass-Ni
-// turn model forbids only the two turns into West, so taking all west
-// hops first keeps the network deadlock free while the remaining
-// directions may be chosen adaptively by congestion).
-func (n *Network) routeCandidates(at, dst Coord) (cands [3]Port, count int) {
-	if at == dst {
-		return [3]Port{Local}, 1
-	}
+// route computes the output port toward dst: dimension-ordered XY, or
+// on a torus its form that takes each ring the shortest way round.
+func (n *Network) route(at, dst Coord) Port {
 	if n.cfg.Topology == TopologyTorus {
-		return [3]Port{n.routeTorusXY(at, dst)}, 1
+		return n.routeTorusXY(at, dst)
 	}
-	if n.cfg.Routing != RoutingWestFirst {
-		return [3]Port{routeXY(at, dst)}, 1
-	}
-	if dst.X < at.X {
-		return [3]Port{West}, 1 // all west hops first, no adaptivity
-	}
-	if dst.X > at.X {
-		cands[count] = East
-		count++
-	}
-	if dst.Y > at.Y {
-		cands[count] = South
-		count++
-	}
-	if dst.Y < at.Y {
-		cands[count] = North
-		count++
-	}
-	return cands, count
+	return routeXY(at, dst)
 }
 
 // neighbour returns the router adjacent to r through out, and the input
@@ -306,17 +257,6 @@ func (n *Network) neighbour(r *router, out Port) (*router, Port) {
 		inPort = East
 	}
 	return n.routerAt(c), inPort
-}
-
-// freeSlots returns the total free buffer space at an input port of a
-// router (the congestion signal adaptive routing selects by).
-func (n *Network) freeSlots(r *router, p Port) int {
-	sum := 0
-	for v := range r.in[p] {
-		vc := &r.in[p][v]
-		sum += vc.cap - vc.len() - vc.incoming
-	}
-	return sum
 }
 
 // Step advances the network one clock cycle: route computation, VC
@@ -364,7 +304,6 @@ func (n *Network) Step() {
 		}
 		if m.to == nil {
 			// Ejection at destination.
-			n.flitsEjected++
 			if f.IsTail {
 				pkt := f.pkt
 				pkt.DeliveredAt = n.cycle + 1 // tail leaves at end of cycle
@@ -374,8 +313,6 @@ func (n *Network) Step() {
 		} else {
 			m.to.in[m.toPort][m.toVC].push(f)
 			m.to.buffered++
-			n.flitsMoved++
-			n.linkFlits[m.from.at.Y*n.cfg.Width+m.from.at.X][m.outPort]++
 		}
 	}
 	n.cycle++
@@ -396,30 +333,7 @@ func (n *Network) allocateVC(r *router, p Port, v int) {
 		vc.owner = f.PacketID
 	}
 	if vc.outPort < 0 {
-		// Route computation: pick among allowed candidates the one whose
-		// downstream input port has the most free space.
-		cands, count := n.routeCandidates(r.at, f.Dst)
-		best := Port(-1)
-		bestFree := -1
-		for _, c := range cands[:count] {
-			if c == Local {
-				best = Local
-				break
-			}
-			down, downPort := n.neighbour(r, c)
-			if down == nil {
-				continue
-			}
-			free := n.freeSlots(down, downPort)
-			if free > bestFree {
-				bestFree = free
-				best = c
-			}
-		}
-		if best < 0 {
-			return // no viable candidate this cycle (should not happen)
-		}
-		vc.outPort = best
+		vc.outPort = n.route(r.at, f.Dst)
 	}
 	if vc.outVC < 0 && vc.outPort != Local {
 		// VC allocation: reserve a free downstream VC within the
@@ -465,9 +379,7 @@ func (n *Network) allocateSwitch(r *router, out Port, reqs []request) {
 		idx, p, v := rq.idx, rq.port, rq.vc
 		vc := &r.in[p][v]
 		if out == Local {
-			n.moves = append(n.moves, move{
-				from: r, fromPort: p, fromVC: v, outPort: out, to: nil,
-			})
+			n.moves = append(n.moves, move{from: r, fromPort: p, fromVC: v})
 			r.rr[out] = (idx + 1) % r.vcTotal
 			return
 		}
@@ -483,7 +395,7 @@ func (n *Network) allocateSwitch(r *router, out Port, reqs []request) {
 		}
 		dst.incoming++
 		n.moves = append(n.moves, move{
-			from: r, fromPort: p, fromVC: v, outPort: out,
+			from: r, fromPort: p, fromVC: v,
 			to: downstream, toPort: downPort, toVC: vc.outVC,
 		})
 		r.rr[out] = (idx + 1) % r.vcTotal
@@ -491,40 +403,12 @@ func (n *Network) allocateSwitch(r *router, out Port, reqs []request) {
 	}
 }
 
-// Run advances the network the given number of cycles.
-func (n *Network) Run(cycles int64) {
-	for i := int64(0); i < cycles; i++ {
-		n.Step()
-	}
-}
-
-// RunUntilDrained steps until no packets remain in flight or maxCycles
-// elapse; it reports whether the network drained.
-func (n *Network) RunUntilDrained(maxCycles int64) bool {
-	for i := int64(0); i < maxCycles; i++ {
-		if n.inflight == 0 {
-			return true
-		}
-		n.Step()
-	}
-	return n.inflight == 0
-}
-
-// InFlight returns the number of undelivered packets.
-func (n *Network) InFlight() int { return n.inflight }
-
-// Delivered returns the delivered packets still retained (shared slice;
-// do not modify). Packets handed back via ReleaseDelivered are absent.
-func (n *Network) Delivered() []*Packet { return n.delivered }
-
 // ReleaseDelivered recycles the oldest k delivered packets: their
-// latency and hop counts fold into the streaming aggregates Summarise
-// reports, and their structs return to the injection freelist. A
-// consumer that drains deliveries incrementally (DeliveredSince) calls
-// this after processing a batch, making unbounded co-simulations run
-// in bounded memory with alloc-free injection. Released packets must
-// no longer be dereferenced — the structs are overwritten by later
-// Injects.
+// structs return to the injection freelist. A consumer that drains
+// deliveries incrementally (DeliveredSince) calls this after processing
+// a batch, making unbounded co-simulations run in bounded memory with
+// alloc-free injection. Released packets must no longer be dereferenced
+// — the structs are overwritten by later Injects.
 func (n *Network) ReleaseDelivered(k int) {
 	if k > len(n.delivered) {
 		k = len(n.delivered)
@@ -532,140 +416,10 @@ func (n *Network) ReleaseDelivered(k int) {
 	if k <= 0 {
 		return
 	}
-	for _, p := range n.delivered[:k] {
-		l := p.Latency()
-		n.relCount++
-		n.relLatSum += l
-		n.relHopSum += int64(n.cfg.Hops(p.Src, p.Dst))
-		if l > n.relMaxLat {
-			n.relMaxLat = l
-		}
-		n.free = append(n.free, p)
-	}
+	n.free = append(n.free, n.delivered[:k]...)
 	rest := copy(n.delivered, n.delivered[k:])
 	n.delivered = n.delivered[:rest]
 	n.delivBase += k
-}
-
-// Stats summarises delivered traffic.
-type Stats struct {
-	Delivered    int
-	MeanLatency  float64 // cycles
-	P95Latency   int64
-	MaxLatency   int64
-	MeanHops     float64
-	FlitsMoved   int64
-	FlitsEjected int64
-	// ThroughputFPC is accepted traffic in flits per cycle per node.
-	ThroughputFPC float64
-}
-
-// Summarise computes delivery statistics over the run so far. Counts,
-// means and the maximum are exact even when packets have been handed
-// back via ReleaseDelivered (their contributions stream into running
-// aggregates); P95Latency is computed over the retained packets only,
-// so standalone studies that want an exact percentile (RunLoadPoint)
-// simply never release.
-func (n *Network) Summarise() Stats {
-	var s Stats
-	s.FlitsMoved = n.flitsMoved
-	s.FlitsEjected = n.flitsEjected
-	total := n.relCount + int64(len(n.delivered))
-	if total == 0 {
-		return s
-	}
-	lat := make([]int64, 0, len(n.delivered))
-	latSum, hopSum := n.relLatSum, n.relHopSum
-	s.MaxLatency = n.relMaxLat
-	for _, p := range n.delivered {
-		l := p.Latency()
-		lat = append(lat, l)
-		latSum += l
-		hopSum += int64(n.cfg.Hops(p.Src, p.Dst))
-		if l > s.MaxLatency {
-			s.MaxLatency = l
-		}
-	}
-	s.Delivered = int(total)
-	s.MeanLatency = float64(latSum) / float64(total)
-	s.MeanHops = float64(hopSum) / float64(total)
-	if len(lat) > 0 {
-		// nth percentile without sorting the caller's data.
-		sorted := make([]int64, len(lat))
-		copy(sorted, lat)
-		insertionSort(sorted)
-		s.P95Latency = sorted[(len(sorted)*95)/100]
-	}
-	if n.cycle > 0 {
-		nodes := float64(n.cfg.Width * n.cfg.Height)
-		s.ThroughputFPC = float64(n.flitsEjected) / float64(n.cycle) / nodes
-	}
-	return s
-}
-
-func insertionSort(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// LinkLoad describes traffic over one unidirectional mesh link.
-type LinkLoad struct {
-	From  Coord
-	Dir   Port // East/West/North/South out of From
-	Flits int64
-	// Utilization is flits per cycle over the run so far, in [0,1].
-	Utilization float64
-}
-
-// LinkLoads returns the traffic of every mesh link (local ejection ports
-// excluded), ordered row-major by source router then by port.
-func (n *Network) LinkLoads() []LinkLoad {
-	var out []LinkLoad
-	for i, r := range n.routers {
-		for p := North; p < numPorts; p++ {
-			if down, _ := n.neighbour(r, p); down == nil {
-				continue // mesh edge
-			}
-			flits := n.linkFlits[i][p]
-			ll := LinkLoad{From: r.at, Dir: p, Flits: flits}
-			if n.cycle > 0 {
-				ll.Utilization = float64(flits) / float64(n.cycle)
-			}
-			out = append(out, ll)
-		}
-	}
-	return out
-}
-
-// HottestLink returns the most utilised link; ok is false before any
-// traffic has moved.
-func (n *Network) HottestLink() (LinkLoad, bool) {
-	loads := n.LinkLoads()
-	var best LinkLoad
-	found := false
-	for _, l := range loads {
-		if l.Flits > best.Flits {
-			best = l
-			found = true
-		}
-	}
-	return best, found
-}
-
-// MeanLinkUtilization averages utilisation over all mesh links.
-func (n *Network) MeanLinkUtilization() float64 {
-	loads := n.LinkLoads()
-	if len(loads) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, l := range loads {
-		sum += l.Utilization
-	}
-	return sum / float64(len(loads))
 }
 
 // AdvanceTo advances the router clock to the given absolute cycle,

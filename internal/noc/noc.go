@@ -3,7 +3,8 @@
 // dimension-ordered (XY) routing and credit-based flow control, together
 // with an analytic transaction-level latency model calibrated against it.
 // The manycore system uses the transaction model for long runs; the
-// flit-level simulator validates it and powers the standalone NoC study.
+// flit-level simulator validates it and backs the flit co-simulation
+// mode (NoCMode "flit").
 package noc
 
 import (
@@ -78,32 +79,6 @@ func (p Port) String() string {
 	}
 }
 
-// Routing selects the routing algorithm.
-type Routing int
-
-// Available routing algorithms.
-const (
-	// RoutingXY is deterministic dimension-ordered routing (X first).
-	RoutingXY Routing = iota
-	// RoutingWestFirst is the west-first adaptive turn-model routing:
-	// all west hops are taken first; the remaining minimal directions
-	// are chosen adaptively by downstream congestion. Deadlock free
-	// (Glass-Ni turn model: only the two turns into West are forbidden).
-	RoutingWestFirst
-)
-
-// String returns the routing name.
-func (r Routing) String() string {
-	switch r {
-	case RoutingXY:
-		return "xy"
-	case RoutingWestFirst:
-		return "west-first"
-	default:
-		return fmt.Sprintf("routing(%d)", int(r))
-	}
-}
-
 // Topology selects the network shape.
 type Topology int
 
@@ -140,8 +115,6 @@ type Config struct {
 	// VirtualChannels is the VC count per input port (>= 1). Extra VCs
 	// relieve head-of-line blocking under load.
 	VirtualChannels int
-	// Routing selects the routing algorithm.
-	Routing Routing
 	// ClockHz is the router clock; one flit traverses one link per cycle.
 	ClockHz float64
 }
@@ -150,7 +123,7 @@ type Config struct {
 // 4-flit buffers, XY routing, routers clocked at 1 GHz.
 func DefaultConfig(width, height int) Config {
 	return Config{Width: width, Height: height, BufferDepth: 4,
-		VirtualChannels: 1, Routing: RoutingXY, ClockHz: 1e9}
+		VirtualChannels: 1, ClockHz: 1e9}
 }
 
 // Validate checks the configuration.
@@ -164,19 +137,11 @@ func (cfg Config) Validate() error {
 	if cfg.VirtualChannels < 1 {
 		return fmt.Errorf("noc: VirtualChannels must be >= 1")
 	}
-	switch cfg.Routing {
-	case RoutingXY, RoutingWestFirst:
-	default:
-		return fmt.Errorf("noc: unknown routing %d", cfg.Routing)
-	}
 	switch cfg.Topology {
 	case TopologyMesh:
 	case TopologyTorus:
 		if cfg.VirtualChannels < 2 {
 			return fmt.Errorf("noc: torus needs >= 2 virtual channels (dateline classes)")
-		}
-		if cfg.Routing != RoutingXY {
-			return fmt.Errorf("noc: torus supports XY routing only")
 		}
 	default:
 		return fmt.Errorf("noc: unknown topology %d", cfg.Topology)
