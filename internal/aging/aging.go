@@ -34,8 +34,10 @@ type Params struct {
 	EaEv float64 // activation energy, eV
 	TRef float64 // kelvin
 
-	// Electromigration (Black's equation): MTTF = AEm * J^-NEm * exp(Ea/kT),
-	// normalised so a core at (VRef, TRef, activity 1) has MTTFRefHours.
+	// Electromigration (Black's equation) parameters. No model reads
+	// them; they stay because core.Config embeds Params, and every
+	// report serialises its Config, so dropping them moves the
+	// benchmark's golden digests.
 	NEm          float64
 	MTTFRefHours float64
 
@@ -95,7 +97,10 @@ type CoreState struct {
 	Utilization float64 // fraction of the interval the core switched, [0,1]
 	Voltage     float64 // volts (0 = power gated)
 	TempK       float64 // junction temperature
-	Activity    float64 // switching activity while utilised, [0,1+]
+	// Activity is the switching activity while utilised, [0,1+]. No
+	// model reads it; bench/potbench's replay ledger sets it, so it
+	// stays until the next change to the benchmark.
+	Activity float64
 }
 
 // Tracker accumulates per-core aging state.
@@ -109,9 +114,6 @@ type coreAging struct {
 	effStressSec float64 // acceleration-weighted stress seconds
 	stress       float64 //potlint:nosnap derived: Stress of effStressSec, recomputed by Advance and Restore
 	utilEwma     float64 // smoothed utilization (the "utilization metric")
-	lastTempK    float64
-	lastVoltage  float64
-	lastActivity float64
 }
 
 // NewTracker creates a tracker for n cores.
@@ -122,12 +124,7 @@ func NewTracker(n int, p Params) (*Tracker, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Tracker{params: p, cores: make([]coreAging, n)}
-	for i := range t.cores {
-		t.cores[i].lastTempK = p.TRef
-		t.cores[i].lastVoltage = p.VRef
-	}
-	return t, nil
+	return &Tracker{params: p, cores: make([]coreAging, n)}, nil
 }
 
 // Params returns the tracker's parameterisation.
@@ -169,9 +166,6 @@ func (t *Tracker) Advance(now sim.Time, states []CoreState) error {
 		}
 		t.updateStress(i)
 		c.utilEwma += utilEwmaAlpha * (st.Utilization - c.utilEwma)
-		c.lastTempK = st.TempK
-		c.lastVoltage = st.Voltage
-		c.lastActivity = st.Activity
 	}
 	return nil
 }
@@ -210,21 +204,6 @@ func (t *Tracker) updateStress(id int) {
 
 // Utilization returns the smoothed utilization metric of core id.
 func (t *Tracker) Utilization(id int) float64 { return t.cores[id].utilEwma }
-
-// MTTFHours estimates core id's electromigration MTTF from its most
-// recent operating condition via Black's equation, with current density
-// approximated as proportional to V*activity (switching current).
-func (t *Tracker) MTTFHours(id int) float64 {
-	c := t.cores[id]
-	p := t.params
-	if c.lastVoltage <= 0 || c.lastActivity <= 0 {
-		return math.Inf(1) // an idle, gated core does not electromigrate
-	}
-	jRel := (c.lastVoltage / p.VRef) * c.lastActivity
-	tK := math.Max(c.lastTempK, 1)
-	arr := math.Exp(p.EaEv / boltzmannEvK * (1/tK - 1/p.TRef))
-	return p.MTTFRefHours * math.Pow(jRel, -p.NEm) * arr
-}
 
 // CriticalityModel converts aging state into the test-criticality number
 // the scheduler ranks cores by. A core's target test interval shrinks as

@@ -19,7 +19,7 @@ func mustTracker(t *testing.T, n int, p Params) *Tracker {
 
 func refState(util float64) CoreState {
 	p := DefaultParams()
-	return CoreState{Utilization: util, Voltage: p.VRef, TempK: p.TRef, Activity: 1}
+	return CoreState{Utilization: util, Voltage: p.VRef, TempK: p.TRef}
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -98,8 +98,8 @@ func TestVoltageAndTemperatureAcceleration(t *testing.T) {
 	tr := mustTracker(t, 3, p)
 	states := []CoreState{
 		refState(1),
-		{Utilization: 1, Voltage: p.VRef + 0.1, TempK: p.TRef, Activity: 1},
-		{Utilization: 1, Voltage: p.VRef, TempK: p.TRef + 30, Activity: 1},
+		{Utilization: 1, Voltage: p.VRef + 0.1, TempK: p.TRef},
+		{Utilization: 1, Voltage: p.VRef, TempK: p.TRef + 30},
 	}
 	if err := tr.Advance(10*sim.Second, states); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestPowerGatedCoreDoesNotAge(t *testing.T) {
 	p := DefaultParams()
 	p.AccelFactor = 1e7
 	tr := mustTracker(t, 1, p)
-	states := []CoreState{{Utilization: 1, Voltage: 0, TempK: 400, Activity: 1}}
+	states := []CoreState{{Utilization: 1, Voltage: 0, TempK: 400}}
 	if err := tr.Advance(10*sim.Second, states); err != nil {
 		t.Fatal(err)
 	}
@@ -146,29 +146,6 @@ func TestUtilizationEwma(t *testing.T) {
 	}
 	if u := tr.Utilization(0); math.Abs(u-0.8) > 0.01 {
 		t.Errorf("utilization EWMA = %v, want ~0.8", u)
-	}
-}
-
-func TestMTTFBehaviour(t *testing.T) {
-	p := DefaultParams()
-	tr := mustTracker(t, 3, p)
-	states := []CoreState{
-		refState(1),
-		{Utilization: 1, Voltage: p.VRef, TempK: p.TRef + 40, Activity: 1},
-		{Utilization: 0, Voltage: 0, TempK: p.TRef, Activity: 0},
-	}
-	if err := tr.Advance(sim.Second, states); err != nil {
-		t.Fatal(err)
-	}
-	ref := tr.MTTFHours(0)
-	if math.Abs(ref-p.MTTFRefHours) > 1e-6*p.MTTFRefHours {
-		t.Errorf("reference MTTF = %v, want %v", ref, p.MTTFRefHours)
-	}
-	if hot := tr.MTTFHours(1); hot >= ref {
-		t.Errorf("hot core MTTF %v should be below reference %v", hot, ref)
-	}
-	if idle := tr.MTTFHours(2); !math.IsInf(idle, 1) {
-		t.Errorf("gated core MTTF = %v, want +Inf", idle)
 	}
 }
 

@@ -10,9 +10,6 @@ import (
 type CoreAgingState struct {
 	EffStressSec float64 `json:"eff_stress_sec"`
 	UtilEwma     float64 `json:"util_ewma"`
-	LastTempK    float64 `json:"last_temp_k"`
-	LastVoltage  float64 `json:"last_voltage"`
-	LastActivity float64 `json:"last_activity"`
 }
 
 // TrackerState is the serializable state of a Tracker. Params are
@@ -29,9 +26,6 @@ func (t *Tracker) Snapshot() TrackerState {
 		st.Cores[i] = CoreAgingState{
 			EffStressSec: c.effStressSec,
 			UtilEwma:     c.utilEwma,
-			LastTempK:    c.lastTempK,
-			LastVoltage:  c.lastVoltage,
-			LastActivity: c.lastActivity,
 		}
 	}
 	return st
@@ -47,9 +41,6 @@ func (t *Tracker) Restore(st TrackerState) error {
 		t.cores[i] = coreAging{
 			effStressSec: c.EffStressSec,
 			utilEwma:     c.UtilEwma,
-			lastTempK:    c.LastTempK,
-			lastVoltage:  c.LastVoltage,
-			lastActivity: c.LastActivity,
 		}
 		t.updateStress(i)
 	}

@@ -18,10 +18,10 @@ func exprStress(t *Tracker, id int) float64 {
 // bit-equal to the expression at every point a caller can observe.
 func TestStressBitEqualsExpression(t *testing.T) {
 	states := []CoreState{
-		{Utilization: 1, Voltage: 1.0, TempK: 365, Activity: 1.2},
-		{Utilization: 0.5, Voltage: 0.8, TempK: 330, Activity: 0.6},
-		{Utilization: 0.02, Voltage: 0.7, TempK: 320, Activity: 0.2}, // recovery wins
-		{Utilization: 0.9, Voltage: 0, TempK: 310},                   // power gated
+		{Utilization: 1, Voltage: 1.0, TempK: 365},
+		{Utilization: 0.5, Voltage: 0.8, TempK: 330},
+		{Utilization: 0.02, Voltage: 0.7, TempK: 320}, // recovery wins
+		{Utilization: 0.9, Voltage: 0, TempK: 310},    // power gated
 	}
 	// Real time leaves every core far below end of life; a large
 	// acceleration drives the busiest core into the clamp at 1.

@@ -880,10 +880,7 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 				s.fireFirstIteration(tr, now)
 			}
 			wl = s.model.Core(pt.Voltage, pt.FreqHz, tr.task.Activity, tempK)
-			states[id] = aging.CoreState{
-				Utilization: 1, Voltage: pt.Voltage, TempK: tempK,
-				Activity: tr.task.Activity,
-			}
+			states[id] = aging.CoreState{Utilization: 1, Voltage: pt.Voltage, TempK: tempK}
 			s.busyCoreEpochs++
 			if tr.remaining <= 0 {
 				s.completeTask(tr, now)
@@ -898,10 +895,7 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 			}
 			act := ex.CurrentActivity()
 			tst = s.model.Core(pt.Voltage, pt.FreqHz, act, tempK)
-			states[id] = aging.CoreState{
-				Utilization: 1, Voltage: pt.Voltage, TempK: tempK,
-				Activity: act,
-			}
+			states[id] = aging.CoreState{Utilization: 1, Voltage: pt.Voltage, TempK: tempK}
 			if ex.Done() {
 				s.completeTest(id, ex, now)
 			}
@@ -937,9 +931,8 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 // policy the first violation aborts the epoch (and therefore the run);
 // under LogAndContinue the violations are tallied into the report.
 func (s *System) checkInvariants(now sim.Time) error {
-	// The guard conditions are tested inline (rather than through
-	// Checkf's ok parameter) so the happy path never boxes the format
-	// arguments; Checkf(ok=true) and an untaken branch are equivalent.
+	// Each condition is tested inline and Violatef runs only when it
+	// fails, so the happy path never boxes the format arguments.
 	chip := s.acct.ChipPower()
 	if !(!math.IsNaN(chip) && !math.IsInf(chip, 0) && chip >= 0) {
 		if err := s.guard.Violatef("power.finite",

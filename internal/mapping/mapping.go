@@ -55,17 +55,6 @@ func (g *Grid) Index(c noc.Coord) int { return c.Y*g.Width + c.X }
 // Coord converts a core index to a coordinate.
 func (g *Grid) Coord(i int) noc.Coord { return noc.Coord{X: i % g.Width, Y: i / g.Width} }
 
-// FreeCount returns the number of free cores.
-func (g *Grid) FreeCount() int {
-	n := 0
-	for _, c := range g.Cores {
-		if c.Free {
-			n++
-		}
-	}
-	return n
-}
-
 // neighbours yields the valid mesh neighbours of index i, in fixed
 // west/east/north/south order, as a count-bounded array.
 func (g *Grid) neighbours(i int) (nb [4]int, n int) {
@@ -351,19 +340,6 @@ func Dispersion(g *workload.Graph, as Assignment) float64 {
 		return 0
 	}
 	return float64(sum) / float64(edges)
-}
-
-// MeanCriticality returns the average test-criticality of the cores an
-// assignment occupies — the quantity TUM minimises.
-func MeanCriticality(as Assignment, grid *Grid) float64 {
-	if len(as) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, c := range as {
-		sum += grid.Cores[grid.Index(c)].Criticality
-	}
-	return sum / float64(len(as))
 }
 
 // MapPro approximates the authors' NOCS'15 proactive region selection:

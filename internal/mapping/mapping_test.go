@@ -325,3 +325,27 @@ func TestMapProGrowsSquareWhenNeeded(t *testing.T) {
 			maxX-minX+1, maxY-minY+1)
 	}
 }
+
+// FreeCount returns the number of free cores (a test helper).
+func (g *Grid) FreeCount() int {
+	n := 0
+	for _, c := range g.Cores {
+		if c.Free {
+			n++
+		}
+	}
+	return n
+}
+
+// MeanCriticality returns the average test-criticality of the cores an
+// assignment occupies — the quantity TUM minimises.
+func MeanCriticality(as Assignment, grid *Grid) float64 {
+	if len(as) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, c := range as {
+		sum += grid.Cores[grid.Index(c)].Criticality
+	}
+	return sum / float64(len(as))
+}

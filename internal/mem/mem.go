@@ -110,9 +110,6 @@ func New(width, height int, cfg Config) (*Subsystem, error) {
 // Controllers returns the controller count.
 func (s *Subsystem) Controllers() int { return len(s.cfg.Controllers) }
 
-// ControllerFor returns the controller index serving core id.
-func (s *Subsystem) ControllerFor(coreID int) int { return s.nearest[coreID] }
-
 // AddDemand accumulates memory-cycle demand (cycles/s) from a core onto
 // its controller for the current epoch.
 func (s *Subsystem) AddDemand(coreID int, cyclesPerSec float64) {

@@ -47,10 +47,10 @@ func TestNearestControllerAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ControllerFor(0) != 0 { // core (0,0)
+	if s.nearest[0] != 0 { // core (0,0)
 		t.Error("corner core not assigned to its own controller")
 	}
-	if s.ControllerFor(15) != 1 { // core (3,3)
+	if s.nearest[15] != 1 { // core (3,3)
 		t.Error("far corner not assigned to controller 1")
 	}
 }

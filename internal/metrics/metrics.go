@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics toolkit the experiment
-// harness reports with: streaming mean/variance, sample percentiles,
-// fixed-width histograms, and ASCII/CSV table rendering.
+// harness reports with: sample percentiles, fixed-width histograms, and
+// ASCII/CSV table rendering.
 package metrics
 
 import (
@@ -9,52 +9,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Welford accumulates streaming mean and variance.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one observation in.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		w.min = math.Min(w.min, x)
-		w.max = math.Max(w.max, x)
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 with no data).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the sample variance (0 with fewer than two points).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest observation (0 with no data).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 with no data).
-func (w *Welford) Max() float64 { return w.max }
 
 // Percentile returns the p-th percentile (0..100) of samples using
 // nearest-rank on a sorted copy. Empty input returns 0.
@@ -225,45 +179,4 @@ func (t *Table) CSV() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// ParetoMin marks the non-dominated points of a set under minimisation of
-// every dimension: out[i] is true when no other point is at least as good
-// in all dimensions and strictly better in one. Duplicate points are all
-// kept. Points must share a dimensionality.
-func ParetoMin(points [][]float64) ([]bool, error) {
-	out := make([]bool, len(points))
-	if len(points) == 0 {
-		return out, nil
-	}
-	dim := len(points[0])
-	for _, p := range points {
-		if len(p) != dim {
-			return nil, fmt.Errorf("metrics: ragged pareto input")
-		}
-	}
-	for i := range points {
-		dominated := false
-		for j := range points {
-			if i == j {
-				continue
-			}
-			allLeq, oneLess := true, false
-			for d := 0; d < dim; d++ {
-				if points[j][d] > points[i][d] {
-					allLeq = false
-					break
-				}
-				if points[j][d] < points[i][d] {
-					oneLess = true
-				}
-			}
-			if allLeq && oneLess {
-				dominated = true
-				break
-			}
-		}
-		out[i] = !dominated
-	}
-	return out, nil
 }

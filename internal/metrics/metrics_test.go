@@ -1,43 +1,10 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestWelfordAgainstClosedForm(t *testing.T) {
-	var w Welford
-	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range data {
-		w.Add(x)
-	}
-	if w.N() != len(data) {
-		t.Errorf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("mean = %v, want 5", w.Mean())
-	}
-	// Sample variance of the classic dataset: sum sq dev = 32, n-1 = 7.
-	if math.Abs(w.Var()-32.0/7) > 1e-12 {
-		t.Errorf("var = %v, want %v", w.Var(), 32.0/7)
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("min/max = %v/%v", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.Std() != 0 {
-		t.Error("empty accumulator should be zero")
-	}
-	w.Add(42)
-	if w.Mean() != 42 || w.Var() != 0 {
-		t.Error("single observation stats wrong")
-	}
-}
 
 func TestPercentile(t *testing.T) {
 	samples := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
@@ -139,31 +106,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-// Property: Welford mean matches naive mean and never exceeds [min,max].
-func TestWelfordProperty(t *testing.T) {
-	prop := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var w Welford
-		sum := 0.0
-		for _, v := range raw {
-			x := float64(v)
-			w.Add(x)
-			sum += x
-		}
-		naive := sum / float64(len(raw))
-		if math.Abs(w.Mean()-naive) > 1e-9*math.Max(1, math.Abs(naive)) {
-			return false
-		}
-		return w.Mean() >= w.Min()-1e-9 && w.Mean() <= w.Max()+1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram conserves observations.
 func TestHistogramConservationProperty(t *testing.T) {
 	prop := func(raw []int8) bool {
 		h, err := NewHistogram(-50, 50, 10)
@@ -181,33 +123,5 @@ func TestHistogramConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParetoMin(t *testing.T) {
-	points := [][]float64{
-		{1, 5}, // front
-		{2, 4}, // front
-		{3, 3}, // front
-		{3, 5}, // dominated by {1,5}? no: 1<3, 5==5 -> dominated
-		{2, 6}, // dominated by {1,5} and {2,4}
-		{1, 5}, // duplicate of front point: kept
-	}
-	front, err := ParetoMin(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{true, true, true, false, false, true}
-	for i := range want {
-		if front[i] != want[i] {
-			t.Errorf("point %d pareto = %v, want %v", i, front[i], want[i])
-		}
-	}
-	if _, err := ParetoMin([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged input accepted")
-	}
-	empty, err := ParetoMin(nil)
-	if err != nil || len(empty) != 0 {
-		t.Error("empty input mishandled")
 	}
 }

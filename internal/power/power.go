@@ -130,11 +130,6 @@ func (a *Accountant) TestPower() float64 {
 // ChipPower returns the current total chip power in watts.
 func (a *Accountant) ChipPower() float64 { return a.WorkloadPower() + a.TestPower() }
 
-// CorePower returns the current total power of core id.
-func (a *Accountant) CorePower(id int) float64 {
-	return a.workload[id].Total() + a.test[id].Total()
-}
-
 // Advance integrates energy forward to time now, assuming the per-core
 // powers set since the previous Advance were constant over the interval,
 // and appends a trace sample when due. budget is the TDP in effect. A
@@ -209,11 +204,6 @@ func NewBudget(tdpW float64) (*Budget, error) {
 		return nil, fmt.Errorf("power: invalid TDP %v", tdpW)
 	}
 	return &Budget{TDP: tdpW}, nil
-}
-
-// Headroom returns TDP minus the given chip power, never negative.
-func (b *Budget) Headroom(chipPower float64) float64 {
-	return math.Max(0, b.TDP-chipPower)
 }
 
 // Check records one observation of chip power against the TDP and reports

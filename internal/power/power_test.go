@@ -143,16 +143,6 @@ func TestAccountantBackwardsTimeErrors(t *testing.T) {
 	}
 }
 
-func TestBudgetHeadroom(t *testing.T) {
-	b := mustBudget(t, 20)
-	if got := b.Headroom(15); got != 5 {
-		t.Errorf("Headroom(15) = %v, want 5", got)
-	}
-	if got := b.Headroom(25); got != 0 {
-		t.Errorf("Headroom(25) = %v, want 0", got)
-	}
-}
-
 func TestBudgetViolations(t *testing.T) {
 	b := mustBudget(t, 20)
 	if b.Check(20.05) { // within 0.5% tolerance

@@ -31,9 +31,6 @@ func NewMISR() *MISR {
 	return &MISR{state: 0xFFFFFFFF}
 }
 
-// Reset restores the seed state.
-func (m *MISR) Reset() { m.state = 0xFFFFFFFF }
-
 // Absorb folds one test-response word into the signature: the word is
 // XORed into the state, which then shifts 32 times. crc32.IEEETable is
 // the 8-shift table of DefaultPolynomial, so four lookups do the shifts.
@@ -43,13 +40,6 @@ func (m *MISR) Absorb(word uint32) {
 	s = s>>8 ^ t[byte(s)]
 	s = s>>8 ^ t[byte(s)]
 	m.state = s>>8 ^ t[byte(s)]
-}
-
-// AbsorbAll folds a sequence of response words.
-func (m *MISR) AbsorbAll(words []uint32) {
-	for _, w := range words {
-		m.Absorb(w)
-	}
 }
 
 // Signature returns the current signature value.
@@ -85,15 +75,4 @@ func (g *ResponseGenerator) Next() uint32 {
 	x ^= x << 5
 	g.state = x
 	return x
-}
-
-// GoldenSignature computes the fault-free signature of a routine phase at
-// a level by absorbing words response words.
-func GoldenSignature(routineID, phase, level, words int) uint32 {
-	g := NewResponseGenerator(routineID, phase, level)
-	m := NewMISR()
-	for i := 0; i < words; i++ {
-		m.Absorb(g.Next())
-	}
-	return m.Signature()
 }

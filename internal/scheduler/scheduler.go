@@ -168,9 +168,6 @@ type Stats struct {
 	LevelRuns []int
 	// PerCoreCompleted counts completed tests per core.
 	PerCoreCompleted []int
-	// Intervals collects the measured gaps between consecutive completed
-	// tests of the same core (the paper's test-regularity signal).
-	Intervals []sim.Time
 }
 
 // Config wires a POTS instance.
@@ -228,7 +225,6 @@ func (p *POTS) Stats() Stats {
 	s := p.stats
 	s.LevelRuns = append([]int(nil), p.stats.LevelRuns...)
 	s.PerCoreCompleted = append([]int(nil), p.stats.PerCoreCompleted...)
-	s.Intervals = append([]sim.Time(nil), p.stats.Intervals...)
 	return s
 }
 
@@ -327,9 +323,6 @@ func (p *POTS) OnTestComplete(core, level int, now sim.Time) {
 	if !just.EndsSession {
 		return // mid-session segment: the core stays due
 	}
-	if prev := p.lastTest[core]; prev > 0 && now > prev {
-		p.stats.Intervals = append(p.stats.Intervals, now-prev)
-	}
 	p.lastTest[core] = now
 	// Rotate the level downward through the table, wrapping to the top,
 	// so consecutive sessions of a core sweep every operating point.
@@ -393,15 +386,6 @@ func NewPeriodic(cfg Config) (*POTS, error) {
 	return NewPOTS(cfg)
 }
 
-// MeanTestInterval returns the average time between completed tests of a
-// core given its completion count over a horizon; used by E3/E5 reports.
-func MeanTestInterval(horizon sim.Time, completed int) sim.Time {
-	if completed <= 0 {
-		return -1
-	}
-	return horizon / sim.Time(completed)
-}
-
 // CoverageOfLevels reports the fraction of DVFS levels that saw at least
 // one completed test (claim C5: should reach 1.0).
 func (s Stats) CoverageOfLevels() float64 {
@@ -415,53 +399,6 @@ func (s Stats) CoverageOfLevels() float64 {
 		}
 	}
 	return float64(hit) / float64(len(s.LevelRuns))
-}
-
-// GiniTestShare measures how evenly completed tests spread over cores
-// (0 = perfectly even). Used to show criticality ranking follows stress.
-func (s Stats) GiniTestShare() float64 {
-	n := len(s.PerCoreCompleted)
-	if n == 0 {
-		return 0
-	}
-	vals := append([]int(nil), s.PerCoreCompleted...)
-	sort.Ints(vals)
-	var cum, totalWeighted float64
-	var total float64
-	for _, v := range vals {
-		total += float64(v)
-	}
-	//potlint:floateq exact zero: total is a sum of non-negative integer counts
-	if total == 0 {
-		return 0
-	}
-	for i, v := range vals {
-		cum += float64(v)
-		totalWeighted += cum
-		_ = i
-	}
-	// Gini = 1 - 2/(n) * sum_i cum_i/total + 1/n simplified form:
-	return math.Abs(1 - (2*totalWeighted-total)/(float64(n)*total))
-}
-
-// IntervalStats summarises the measured test-interval distribution:
-// mean and 95th percentile in simulated time. ok is false with fewer
-// than two completed tests on any core.
-func (s Stats) IntervalStats() (mean, p95 sim.Time, ok bool) {
-	if len(s.Intervals) == 0 {
-		return 0, 0, false
-	}
-	sorted := append([]sim.Time(nil), s.Intervals...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	var sum sim.Time
-	for _, v := range sorted {
-		sum += v
-	}
-	idx := (len(sorted) * 95) / 100
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sum / sim.Time(len(sorted)), sorted[idx], true
 }
 
 // PredictMeanInterval is the closed-form steady-state estimate of the

@@ -268,33 +268,6 @@ func TestPeriodicIsCriticalityBlind(t *testing.T) {
 	}
 }
 
-func TestMeanTestInterval(t *testing.T) {
-	if MeanTestInterval(sim.Second, 4) != 250*sim.Millisecond {
-		t.Error("interval math wrong")
-	}
-	if MeanTestInterval(sim.Second, 0) != -1 {
-		t.Error("zero completions should yield -1")
-	}
-}
-
-func TestGiniTestShare(t *testing.T) {
-	even := Stats{PerCoreCompleted: []int{5, 5, 5, 5}}
-	skew := Stats{PerCoreCompleted: []int{20, 0, 0, 0}}
-	ge, gs := even.GiniTestShare(), skew.GiniTestShare()
-	if ge > 0.05 {
-		t.Errorf("even distribution gini = %v, want ~0", ge)
-	}
-	if gs < 0.5 {
-		t.Errorf("skewed distribution gini = %v, want high", gs)
-	}
-	if (Stats{}).GiniTestShare() != 0 {
-		t.Error("empty stats gini should be 0")
-	}
-	if (Stats{PerCoreCompleted: []int{0, 0}}).GiniTestShare() != 0 {
-		t.Error("all-zero gini should be 0")
-	}
-}
-
 func TestStatsCopyIsolated(t *testing.T) {
 	p := mustPOTS(t, testConfig(2))
 	s := p.Stats()
@@ -336,27 +309,6 @@ func TestRotationDisabledCoverageIsOneLevel(t *testing.T) {
 	want := 1.0 / float64(cfg.Table.Levels())
 	if cov := p.Stats().CoverageOfLevels(); math.Abs(cov-want) > 1e-9 {
 		t.Errorf("coverage with rotation off = %v, want %v", cov, want)
-	}
-}
-
-func TestIntervalStats(t *testing.T) {
-	p := mustPOTS(t, testConfig(1))
-	times := []sim.Time{10, 30, 60, 100} // gaps 20, 30, 40
-	for _, at := range times {
-		p.OnTestComplete(0, p.table.Highest(), at*sim.Millisecond)
-	}
-	mean, p95, ok := p.Stats().IntervalStats()
-	if !ok {
-		t.Fatal("interval stats unavailable")
-	}
-	if mean != 30*sim.Millisecond {
-		t.Errorf("mean interval = %v, want 30ms", mean)
-	}
-	if p95 != 40*sim.Millisecond {
-		t.Errorf("p95 interval = %v, want 40ms", p95)
-	}
-	if _, _, ok := (Stats{}).IntervalStats(); ok {
-		t.Error("empty stats should report !ok")
 	}
 }
 

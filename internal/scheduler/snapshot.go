@@ -52,7 +52,6 @@ func (p *POTS) Restore(st POTSState) error {
 		SkippedThermal:   st.Stats.SkippedThermal,
 		LevelRuns:        append([]int(nil), st.Stats.LevelRuns...),
 		PerCoreCompleted: append([]int(nil), st.Stats.PerCoreCompleted...),
-		Intervals:        append([]sim.Time(nil), st.Stats.Intervals...),
 	}
 	if p.stats.PerCoreCompleted == nil {
 		p.stats.PerCoreCompleted = make([]int, n)

@@ -35,19 +35,10 @@ const (
 
 // Subscriber is one attached event stream. C is closed when the stream
 // ends — either the job reached a terminal state or the subscriber
-// stalled and was dropped; Stalled distinguishes the two.
+// stalled and was dropped.
 type Subscriber struct {
-	C       chan Event
-	broker  *broker
-	stalled bool
-}
-
-// Stalled reports whether the broker cut this subscriber off for not
-// keeping up (only meaningful after C is closed).
-func (s *Subscriber) Stalled() bool {
-	s.broker.mu.Lock()
-	defer s.broker.mu.Unlock()
-	return s.stalled
+	C      chan Event
+	broker *broker
 }
 
 // Close detaches the subscriber. Safe to call whether or not the broker
@@ -116,7 +107,6 @@ func (b *broker) publish(ev Event) {
 				continue // reader will catch up from a later event
 			}
 			// Stalled on a must-deliver event: cut the reader off.
-			sub.stalled = true
 			delete(b.subs, sub)
 			close(sub.C)
 		}
@@ -136,8 +126,7 @@ func (b *broker) closeWith(final Event) {
 	for sub := range b.subs {
 		select {
 		case sub.C <- final:
-		default:
-			sub.stalled = true
+		default: // a stalled reader misses the terminal event
 		}
 		delete(b.subs, sub)
 		close(sub.C)

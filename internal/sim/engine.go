@@ -208,20 +208,16 @@ func (e *Engine) Run() {
 	}
 }
 
-// Every schedules handler periodically, first at start and then each
-// period, until the returned cancel function is invoked. The handler may
-// call the cancel function itself to end the series. A non-positive
-// period is rejected with an error (a silent zero period would spin the
-// event loop forever at one instant).
-func (e *Engine) Every(start, period Time, handler Handler) (cancel func(), err error) {
-	return e.EveryClass(start, period, 0, handler)
-}
-
-// EveryClass is Every with an explicit ordering class for the ticks; see
-// ScheduleClass for when a non-zero class matters.
+// EveryClass schedules handler periodically, first at start and then
+// each period, until the returned cancel function is invoked. The
+// handler may call the cancel function itself to end the series. The
+// ticks run in the given ordering class; see ScheduleClass for when a
+// non-zero class matters. A non-positive period is rejected with an
+// error (a silent zero period would spin the event loop forever at one
+// instant).
 func (e *Engine) EveryClass(start, period Time, class uint8, handler Handler) (cancel func(), err error) {
 	if period <= 0 {
-		return nil, fmt.Errorf("sim: Every requires a positive period, got %v", period)
+		return nil, fmt.Errorf("sim: EveryClass requires a positive period, got %v", period)
 	}
 	stopped := false
 	var id EventID

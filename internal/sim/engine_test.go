@@ -94,7 +94,7 @@ func TestEngineEvery(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
 	var cancel func()
-	cancel, err := e.Every(0, 10*Microsecond, func(*Engine) {
+	cancel, err := e.EveryClass(0, 10*Microsecond, 0, func(*Engine) {
 		ticks++
 		if ticks == 5 {
 			cancel()
@@ -112,8 +112,8 @@ func TestEngineEvery(t *testing.T) {
 func TestEngineEveryRejectsNonPositivePeriod(t *testing.T) {
 	e := NewEngine()
 	for _, period := range []Time{0, -Microsecond} {
-		if _, err := e.Every(0, period, func(*Engine) {}); err == nil {
-			t.Errorf("Every with period %v accepted", period)
+		if _, err := e.EveryClass(0, period, 0, func(*Engine) {}); err == nil {
+			t.Errorf("EveryClass with period %v accepted", period)
 		}
 	}
 }
@@ -121,7 +121,7 @@ func TestEngineEveryRejectsNonPositivePeriod(t *testing.T) {
 func TestEngineEveryAlignment(t *testing.T) {
 	e := NewEngine()
 	var at []Time
-	cancel, err := e.Every(5*Microsecond, 10*Microsecond, func(en *Engine) {
+	cancel, err := e.EveryClass(5*Microsecond, 10*Microsecond, 0, func(en *Engine) {
 		at = append(at, en.Now())
 	})
 	if err != nil {

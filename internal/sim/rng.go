@@ -2,7 +2,6 @@ package sim
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand"
 )
 
@@ -103,18 +102,6 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 	return lo + s.Float64()*(hi-lo)
 }
 
-// Normal draws a Gaussian with the given mean and standard deviation,
-// clamped to [mean-4sigma, mean+4sigma] to keep pathological tails out of
-// timing models.
-func (s *Stream) Normal(mean, sigma float64) float64 {
-	if sigma <= 0 {
-		return mean
-	}
-	v := mean + s.NormFloat64()*sigma
-	lo, hi := mean-4*sigma, mean+4*sigma
-	return math.Min(math.Max(v, lo), hi)
-}
-
 // Bernoulli reports true with probability p (clamped to [0,1]).
 func (s *Stream) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -132,18 +119,4 @@ func (s *Stream) IntBetween(lo, hi int) int {
 		return lo
 	}
 	return lo + s.Intn(hi-lo+1)
-}
-
-// Weibull draws from a Weibull distribution with the given scale (lambda)
-// and shape (k). Used by the aging model for wear-out lifetimes.
-func (s *Stream) Weibull(scale, shape float64) float64 {
-	if scale <= 0 || shape <= 0 {
-		return 0
-	}
-	u := s.Float64()
-	//potlint:floateq rejection sampling: Float64 can return exactly 0, which Log cannot take
-	for u == 0 {
-		u = s.Float64()
-	}
-	return scale * math.Pow(-math.Log(u), 1/shape)
 }

@@ -119,28 +119,6 @@ func (n Node) FreqAt(v float64) float64 {
 	return n.FMaxHz * shape(v) / shape(n.VNom)
 }
 
-// VoltageFor returns the lowest supply voltage at which frequency f is
-// achievable, found by bisection over [VMin, VNom]. Frequencies above
-// FMaxHz return VNom; non-positive frequencies return VMin.
-func (n Node) VoltageFor(f float64) float64 {
-	if f <= 0 {
-		return n.VMin
-	}
-	if f >= n.FMaxHz {
-		return n.VNom
-	}
-	lo, hi := n.VMin, n.VNom
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if n.FreqAt(mid) < f {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
 // DynamicPower returns core dynamic power in watts at supply voltage v,
 // frequency f (hertz) and switching activity in [0,1].
 func (n Node) DynamicPower(v, f, activity float64) float64 {

@@ -3,7 +3,6 @@ package tech
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNodesValidate(t *testing.T) {
@@ -51,27 +50,6 @@ func TestFreqMonotonicInVoltage(t *testing.T) {
 			t.Fatalf("FreqAt not strictly increasing at v=%v: %v <= %v", v, f, prev)
 		}
 		prev = f
-	}
-}
-
-func TestVoltageForRoundTrip(t *testing.T) {
-	n := Default()
-	for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 0.95} {
-		f := frac * n.FMaxHz
-		v := n.VoltageFor(f)
-		if v < n.VMin-1e-9 || v > n.VNom+1e-9 {
-			t.Fatalf("VoltageFor(%v) = %v outside [VMin,VNom]", f, v)
-		}
-		got := n.FreqAt(v)
-		if got < f-1 { // achievable frequency must cover the request
-			t.Errorf("FreqAt(VoltageFor(%v)) = %v, below request", f, got)
-		}
-	}
-	if n.VoltageFor(0) != n.VMin {
-		t.Error("VoltageFor(0) should be VMin")
-	}
-	if n.VoltageFor(2*n.FMaxHz) != n.VNom {
-		t.Error("VoltageFor above FMax should clamp to VNom")
 	}
 }
 
@@ -187,22 +165,6 @@ func TestPeakCorePowerOrdering(t *testing.T) {
 			t.Errorf("die peak power should grow: %s=%v, %s=%v",
 				nodes[i-1].Name, diePrev, nodes[i].Name, dieCur)
 		}
-	}
-}
-
-// Property: for any voltage in (VTh, VNom], VoltageFor(FreqAt(v)) <= v
-// within bisection tolerance (it returns the cheapest voltage).
-func TestVoltageForIsMinimalProperty(t *testing.T) {
-	n := Default()
-	prop := func(raw uint8) bool {
-		frac := float64(raw) / 255
-		v := n.VMin + frac*(n.VNom-n.VMin)
-		f := n.FreqAt(v)
-		got := n.VoltageFor(f)
-		return got <= v+1e-6
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -88,17 +88,6 @@ func (g *Grid) Cores() int { return len(g.tempK) }
 // Temperature returns the current temperature of core id in kelvin.
 func (g *Grid) Temperature(id int) float64 { return g.tempK[id] }
 
-// MaxTemperature returns the hottest current core temperature.
-func (g *Grid) MaxTemperature() float64 {
-	max := g.tempK[0]
-	for _, t := range g.tempK[1:] {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
-
 // PeakEver returns the hottest temperature seen at any point of the run.
 func (g *Grid) PeakEver() float64 { return g.peakK }
 
@@ -242,10 +231,3 @@ func (g *Grid) CheckSane(minK, maxK float64) error {
 // bypassing the integrator. It exists solely so guard tests can seed a
 // physically impossible state; production code never calls it.
 func (g *Grid) Poison(id int, tempK float64) { g.tempK[id] = tempK }
-
-// SteadyStateUniform returns the analytic steady-state temperature when
-// every core dissipates the same power p: lateral flows cancel, so
-// T = ambient + p * RVertical. Used by tests as an oracle.
-func (g *Grid) SteadyStateUniform(p float64) float64 {
-	return g.cfg.AmbientK + p*g.cfg.RVertical
-}

@@ -185,3 +185,21 @@ func TestCheckSane(t *testing.T) {
 		t.Fatalf("restored grid failed sanity: %v", err)
 	}
 }
+
+// MaxTemperature returns the hottest current core temperature.
+func (g *Grid) MaxTemperature() float64 {
+	max := g.tempK[0]
+	for _, t := range g.tempK[1:] {
+		if t > max {
+			max = t
+		}
+	}
+	return max
+}
+
+// SteadyStateUniform is the tests' analytic oracle: the steady-state
+// temperature when every core dissipates the same power p. Lateral flows
+// cancel, so T = ambient + p * RVertical.
+func (g *Grid) SteadyStateUniform(p float64) float64 {
+	return g.cfg.AmbientK + p*g.cfg.RVertical
+}

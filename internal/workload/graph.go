@@ -169,40 +169,6 @@ func (g *Graph) TopoOrder() ([]int, error) {
 	return order, nil
 }
 
-// TotalWork returns the sum of task work cycles.
-func (g *Graph) TotalWork() int64 {
-	var sum int64
-	for _, t := range g.Tasks {
-		sum += t.WorkCycles
-	}
-	return sum
-}
-
-// CriticalPathCycles returns the longest dependency chain in work cycles
-// (communication excluded), a lower bound on makespan at full speed.
-func (g *Graph) CriticalPathCycles() int64 {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return 0
-	}
-	finish := make([]int64, len(g.Tasks))
-	var best int64
-	for _, id := range order {
-		t := g.Tasks[id]
-		var start int64
-		for _, d := range t.Deps {
-			if finish[d] > start {
-				start = finish[d]
-			}
-		}
-		finish[id] = start + t.WorkCycles
-		if finish[id] > best {
-			best = finish[id]
-		}
-	}
-	return best
-}
-
 // Arrival is one application instance entering the system.
 type Arrival struct {
 	Seq   int
