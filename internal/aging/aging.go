@@ -127,12 +127,6 @@ func NewTracker(n int, p Params) (*Tracker, error) {
 	return &Tracker{params: p, cores: make([]coreAging, n)}, nil
 }
 
-// Params returns the tracker's parameterisation.
-func (t *Tracker) Params() Params { return t.params }
-
-// Cores returns the tracked core count.
-func (t *Tracker) Cores() int { return len(t.cores) }
-
 // utilEwmaAlpha smooths per-epoch utilization into the long-term
 // utilization metric; ~64-epoch memory.
 const utilEwmaAlpha = 1.0 / 64

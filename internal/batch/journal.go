@@ -168,9 +168,6 @@ func (j *Journal) Record(index int, payload any) error {
 	return nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close releases the journal file handle.
 func (j *Journal) Close() error { return j.f.Close() }
 

@@ -181,9 +181,6 @@ func (g *Governor) SetPolicy(p GovernorPolicy) { g.policy = p }
 // Policy returns the active policy.
 func (g *Governor) Policy() GovernorPolicy { return g.policy }
 
-// Table exposes the governor's operating-point table.
-func (g *Governor) Table() *Table { return g.table }
-
 // LevelFor picks the operating level for a core that needs demandHz to
 // meet its workload, under the global ceiling level. The eco policy
 // prefers the lowest level that satisfies the demand; the race policy

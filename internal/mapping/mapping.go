@@ -320,11 +320,6 @@ func ByName(name string) (Policy, error) {
 	}
 }
 
-// All returns every policy for comparison experiments.
-func All() []Policy {
-	return []Policy{FirstFree{}, NearestNeighbour{}, CoNA{}, MapPro{}, NewTUM()}
-}
-
 // Dispersion measures a mapping's communication spread: the mean
 // Manhattan distance over the application's dependency edges. Lower is
 // better (contiguous regions).

@@ -349,3 +349,8 @@ func MeanCriticality(as Assignment, grid *Grid) float64 {
 	}
 	return sum / float64(len(as))
 }
+
+// All returns every policy, for tests that compare them.
+func All() []Policy {
+	return []Policy{FirstFree{}, NearestNeighbour{}, CoNA{}, MapPro{}, NewTUM()}
+}

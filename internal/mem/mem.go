@@ -134,9 +134,6 @@ func (s *Subsystem) EndEpoch() {
 	}
 }
 
-// Rho returns controller i's utilisation from the previous epoch.
-func (s *Subsystem) Rho(i int) float64 { return s.rho[i] }
-
 // PeakRho returns the highest controller utilisation seen in the run.
 func (s *Subsystem) PeakRho() float64 { return s.peakRho }
 

@@ -84,7 +84,7 @@ func TestContentionStretch(t *testing.T) {
 	// Oversubscription clamps at MaxRho.
 	s.AddDemand(0, 1e12)
 	s.EndEpoch()
-	if got := s.Rho(0); got != 0.95 {
+	if got := s.rho[0]; got != 0.95 {
 		t.Errorf("rho = %v, want clamp at 0.95", got)
 	}
 	if s.PeakRho() != 0.95 {
@@ -96,7 +96,7 @@ func TestContentionStretch(t *testing.T) {
 	}
 	// Demand resets every epoch.
 	s.EndEpoch()
-	if got := s.Rho(0); got != 0 {
+	if got := s.rho[0]; got != 0 {
 		t.Errorf("rho after quiet epoch = %v, want 0", got)
 	}
 }

@@ -228,9 +228,6 @@ func (p *POTS) Stats() Stats {
 	return s
 }
 
-// LastTest returns when core was last tested (0 = never).
-func (p *POTS) LastTest(core int) sim.Time { return p.lastTest[core] }
-
 // Criticality computes the current urgency of a core, exposed so the
 // mapper can be test-aware (TUM reads this through the system).
 func (p *POTS) Criticality(core int, now sim.Time, stress, util float64) float64 {

@@ -224,9 +224,9 @@ func TestAbortBookkeeping(t *testing.T) {
 	if len(dec) == 0 {
 		t.Fatal("no tests launched")
 	}
-	before := p.LastTest(dec[0].Core)
+	before := p.lastTest[dec[0].Core]
 	p.OnTestAborted(dec[0].Core, sim.Second+sim.Millisecond)
-	if p.LastTest(dec[0].Core) != before {
+	if p.lastTest[dec[0].Core] != before {
 		t.Error("abort must not count as a completed test")
 	}
 	if p.Stats().Aborted != 1 {
@@ -405,11 +405,11 @@ func TestSegmentedSessionCreditsOnlyAtEnd(t *testing.T) {
 			t.Fatalf("segment order broken: got %s, want %s", dec[0].Routine.Name, seg.Name)
 		}
 		p.OnTestComplete(0, dec[0].Level, now)
-		if i < len(cfg.Routines)-1 && p.LastTest(0) != 0 {
+		if i < len(cfg.Routines)-1 && p.lastTest[0] != 0 {
 			t.Fatalf("mid-session segment %d credited the interval", i)
 		}
 	}
-	if p.LastTest(0) != now {
+	if p.lastTest[0] != now {
 		t.Error("session end did not credit the interval")
 	}
 	// All segments of one session run at the same level.

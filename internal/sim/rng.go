@@ -18,9 +18,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{seed: seed}
 }
 
-// Seed returns the root seed.
-func (r *RNG) Seed() uint64 { return r.seed }
-
 // splitmix64 is the standard seed-expansion mix; it guarantees derived
 // streams are decorrelated even for adjacent seeds.
 func splitmix64(x uint64) uint64 {
