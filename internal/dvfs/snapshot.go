@@ -9,7 +9,7 @@ type PIDState struct {
 	Err2     float64 `json:"err2"`
 	Throttle float64 `json:"throttle"`
 	Primed   bool    `json:"primed"`
-	TDP      float64 `json:"tdp"` // may have been changed at runtime via SetTDP
+	TDP      float64 `json:"tdp"` // the budget in force; nothing changes it after NewPIDCapper
 }
 
 // Snapshot captures the controller state.
