@@ -1,6 +1,6 @@
 // Package potsim reproduces "Power-aware online testing of manycore
-// systems in the dark silicon era" (Haghbayan et al., DATE 2015): a
-// discrete-event manycore simulator with a PID-driven power capper,
+// systems in the dark silicon era" (Haghbayan et al., DATE 2015): an
+// epoch-stepped manycore simulator with a PID-driven power capper,
 // DVFS down to near-threshold, runtime task-graph mapping, aging-driven
 // test criticality, SBST routine execution with MISR signatures, fault
 // injection, a wormhole-mesh NoC, and — at the centre — the power-aware

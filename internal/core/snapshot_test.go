@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"potsim/internal/checkpoint"
@@ -149,9 +152,8 @@ func TestSetContextCancelsRun(t *testing.T) {
 
 func TestArrivalOnEpochBoundaryTieSurvivesResume(t *testing.T) {
 	// An arrival landing exactly on an epoch tick is the order-ambiguous
-	// case a checkpoint cannot disambiguate by scheduling history; the
-	// engine's event classes must pin it identically in fresh and resumed
-	// runs.
+	// case; Run must admit it before that epoch in fresh and resumed runs
+	// alike.
 	lib := workload.Library()
 	entries := []workload.TraceEntry{
 		{AtNs: int64(100 * sim.Microsecond), Graph: lib[0]},
@@ -181,6 +183,56 @@ func TestArrivalOnEpochBoundaryTieSurvivesResume(t *testing.T) {
 		if got := reportBytes(t, rep); !bytes.Equal(got, golden) {
 			t.Fatalf("kill at epoch %d around boundary arrival: resumed run diverged", kill)
 		}
+	}
+}
+
+func TestSnapshotWithRetiredKeysResumes(t *testing.T) {
+	// Snapshots written before Run became a plain epoch loop carry the
+	// event engine's clock and counters under "engine", and the capper's
+	// configured budget under "capper.tdp". Decoding ignores both keys,
+	// so SnapshotVersion stays 1 and such a snapshot still resumes to
+	// the uninterrupted run's bytes.
+	cfg := resumeConfig()
+	golden := reportBytes(t, mustRun(t, cfg))
+
+	var snap Snapshot
+	if err := checkpoint.Load(runKilledAt(t, cfg, 7), SnapshotKind, SnapshotVersion, &snap); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &old); err != nil {
+		t.Fatal(err)
+	}
+	// The engine had fired every admitted arrival and every tick, and
+	// had scheduled one more arrival.
+	fired := int64(snap.Counters.Arrived) + snap.Counters.TotalEpochs
+	old["engine"] = json.RawMessage(fmt.Sprintf(`{"now":%d,"seq":%d,"fired":%d}`, snap.LastEpochAt, fired+1, fired))
+	var capper map[string]json.RawMessage
+	if err := json.Unmarshal(old["capper"], &capper); err != nil {
+		t.Fatal(err)
+	}
+	capper["tdp"] = json.RawMessage(strconv.FormatFloat(cfg.TDP(), 'g', -1, 64))
+	if old["capper"], err = json.Marshal(capper); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := checkpoint.Save(path, SnapshotKind, SnapshotVersion, old); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"engine":{"now":`)) || !bytes.Contains(raw, []byte(`"tdp":`)) {
+		t.Fatal("rewritten snapshot lacks the retired keys")
+	}
+	if got := reportBytes(t, resumeFrom(t, cfg, path)); !bytes.Equal(got, golden) {
+		t.Fatal("snapshot with retired keys resumed to a different report")
 	}
 }
 

@@ -117,7 +117,6 @@ type arrivalSource interface {
 type System struct {
 	cfg Config
 
-	engine  *sim.Engine
 	rng     *sim.RNG //potlint:nosnap stream factory; live streams snapshot themselves
 	source  arrivalSource
 	gen     *workload.Source  // non-nil when arrivals are generated
@@ -307,7 +306,6 @@ func New(cfg Config) (*System, error) {
 	}
 	s := &System{
 		cfg:        cfg,
-		engine:     sim.NewEngine(),
 		rng:        rng,
 		source:     src,
 		gen:        gen,
@@ -404,83 +402,45 @@ func New(cfg Config) (*System, error) {
 func (s *System) Close() {}
 
 // Run executes the configured horizon and returns the report.
+//
+// The epoch grid continues from lastEpochAt, which is 0 on a fresh run
+// and the snapshot instant on a resumed one. Every arrival at or before
+// an epoch instant is admitted before that epoch runs, so an arrival
+// landing exactly on a boundary waits for no further epoch, in fresh
+// and resumed runs alike.
 func (s *System) Run() (*Report, error) {
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-			s.engine.Stop()
+	for now := s.lastEpochAt + s.cfg.Epoch; now <= s.cfg.Horizon; now += s.cfg.Epoch {
+		if err := s.admitArrivals(now); err != nil {
+			return nil, err
 		}
-	}
-	// Arrival events are scheduled exactly; mapping happens at epochs.
-	var scheduleArrival func(e *sim.Engine)
-	scheduleArrival = func(e *sim.Engine) {
-		at := s.source.PeekNext()
-		if at > s.cfg.Horizon {
-			return
-		}
-		if _, err := e.Schedule(at, func(e *sim.Engine) {
-			a, err := s.source.Next()
-			if err != nil {
-				fail(err)
-				return
-			}
-			s.arrived++
-			s.enqueue(&appRun{seq: a.Seq, graph: a.Graph, arrivedAt: a.At})
-			s.events.Record(eventlog.Event{
-				At: e.Now(), Kind: eventlog.AppArrived, Core: -1, App: a.Seq,
-				Note: a.Graph.Name,
-			})
-			scheduleArrival(e)
-		}); err != nil {
-			fail(err)
-		}
-	}
-	scheduleArrival(s.engine)
-
-	// Epoch ticks run in ordering class 1 so that an arrival landing
-	// exactly on an epoch boundary always fires before the tick — on a
-	// resumed run the two chains have no shared scheduling history, so
-	// only a class can pin their relative order. The first tick starts
-	// one epoch after lastEpochAt, which is 0 on a fresh run and the
-	// snapshot instant on a resumed one.
-	cancel, err := s.engine.EveryClass(s.lastEpochAt+s.cfg.Epoch, s.cfg.Epoch, 1, func(e *sim.Engine) {
 		if s.ctx != nil {
-			if cerr := s.ctx.Err(); cerr != nil {
-				fail(cerr)
-				return
+			if err := s.ctx.Err(); err != nil {
+				return nil, err
 			}
 		}
-		if err := s.epoch(e.Now()); err != nil {
-			fail(err)
-			return
+		if err := s.epoch(now); err != nil {
+			return nil, err
 		}
 		if s.onEpoch != nil {
-			s.onEpoch(s.totalEpochs, e.Now())
+			s.onEpoch(s.totalEpochs, now)
 		}
 		stop := s.stopReq.Load()
 		if s.ckptSink != nil && (stop || (s.ckptEvery > 0 && s.totalEpochs%s.ckptEvery == 0)) {
-			snap, serr := s.Snapshot()
-			if serr == nil {
-				serr = s.ckptSink(snap)
+			snap, err := s.Snapshot()
+			if err == nil {
+				err = s.ckptSink(snap)
 			}
-			if serr != nil {
-				fail(serr)
-				return
+			if err != nil {
+				return nil, err
 			}
 		}
 		if stop {
-			fail(ErrInterrupted)
+			return nil, ErrInterrupted
 		}
-	})
-	if err != nil {
-		return nil, err // unreachable once Validate enforced Epoch > 0
 	}
-	defer cancel()
-
-	s.engine.RunUntil(s.cfg.Horizon)
-	if runErr != nil {
-		return nil, runErr
+	// Arrivals after the last epoch instant still count as arrived.
+	if err := s.admitArrivals(s.cfg.Horizon); err != nil {
+		return nil, err
 	}
 	if s.capture != nil && s.cfg.RecordTracePath != "" {
 		f, err := os.Create(s.cfg.RecordTracePath)
@@ -509,11 +469,29 @@ func (s *System) Run() (*Report, error) {
 	return rep, nil
 }
 
+// admitArrivals enqueues every arrival due at or before now, in order,
+// each stamped with its own arrival time.
+func (s *System) admitArrivals(now sim.Time) error {
+	for s.source.PeekNext() <= now {
+		a, err := s.source.Next()
+		if err != nil {
+			return err
+		}
+		s.arrived++
+		s.enqueue(&appRun{seq: a.Seq, graph: a.Graph, arrivedAt: a.At})
+		s.events.Record(eventlog.Event{
+			At: a.At, Kind: eventlog.AppArrived, Core: -1, App: a.Seq,
+			Note: a.Graph.Name,
+		})
+	}
+	return nil
+}
+
 // StepEpoch advances the control loop by exactly one epoch past the
-// last epoch boundary, bypassing the discrete-event engine: no arrivals
-// fire and no checkpoints are taken. It exists for steady-state
-// benchmarking and deterministic micro-drivers; Run remains the normal
-// entry point and the two must not be interleaved on one System.
+// last epoch boundary, outside Run: no arrivals are admitted and no
+// checkpoints are taken. It exists for steady-state benchmarking and
+// deterministic micro-drivers; Run remains the normal entry point and
+// the two must not be interleaved on one System.
 //
 //potlint:allocfree
 func (s *System) StepEpoch() error {
@@ -527,8 +505,8 @@ func (s *System) StepEpoch() error {
 func (s *System) epoch(now sim.Time) error {
 	dt := now - s.lastEpochAt
 	if dt < 0 {
-		// The engine fires events in timestamp order, so a backwards
-		// epoch clock means the scheduler state is corrupt.
+		// Run and StepEpoch only step forward along the epoch grid, so
+		// a backwards epoch clock means the system state is corrupt.
 		return s.guard.Violatef("clock.monotonic",
 			"epoch clock went backwards: %v -> %v", s.lastEpochAt, now)
 	}
@@ -910,7 +888,7 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 		s.memory.EndEpoch()
 	}
 	if err := s.acct.Advance(now, s.budget.TDP); err != nil {
-		// The accountant's clock disagreeing with the engine's is the
+		// The accountant's clock disagreeing with the epoch clock is the
 		// same corruption class as a backwards epoch; route it through
 		// the guard so the policy decides panic/error/continue.
 		if gerr := s.guard.Violatef("clock.monotonic", "%v", err); gerr != nil {

@@ -83,9 +83,9 @@ func DefaultPIDConfig(tdpW float64) PIDConfig {
 //
 // which is anti-windup by construction when the output is clamped.
 type PIDCapper struct {
-	cfg      PIDConfig
-	err1     float64 // e[k-1]
-	err2     float64 // e[k-2]
+	cfg      PIDConfig //potlint:nosnap gains and budget, rebuilt from Config
+	err1     float64   // e[k-1]
+	err2     float64   // e[k-2]
 	throttle float64
 	primed   bool
 }

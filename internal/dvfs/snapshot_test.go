@@ -42,10 +42,7 @@ func TestPIDSnapshotRoundTrip(t *testing.T) {
 
 func TestPIDRestoreValidation(t *testing.T) {
 	c, _ := NewPIDCapper(DefaultPIDConfig(10))
-	if err := c.Restore(PIDState{Throttle: 2, TDP: 10}); err == nil {
+	if err := c.Restore(PIDState{Throttle: 2}); err == nil {
 		t.Fatal("out-of-range throttle accepted")
-	}
-	if err := c.Restore(PIDState{Throttle: 0.5, TDP: 0}); err == nil {
-		t.Fatal("zero TDP accepted")
 	}
 }

@@ -9,17 +9,17 @@ import (
 	"sync/atomic"
 )
 
-// Engine mixes every field disposition: snapshotted, suppressed,
+// Queue mixes every field disposition: snapshotted, suppressed,
 // missing on one side, missing on both, and the auto-exempt wiring
 // kinds (locks, stop flags, contexts, funcs, channels).
-type Engine struct {
+type Queue struct {
 	now int64
 	seq uint64
 
 	queue []int //potlint:nosnap pending closures are re-posted by the owner on resume
 
-	free    []int // want `field Engine.free is not referenced by Snapshot or Restore`
-	stopped bool  // want `field Engine.stopped is not referenced by Restore`
+	free    []int // want `field Queue.free is not referenced by Snapshot or Restore`
+	stopped bool  // want `field Queue.stopped is not referenced by Restore`
 
 	mu     sync.Mutex
 	stop   atomic.Bool
@@ -28,20 +28,20 @@ type Engine struct {
 	wake   chan struct{}
 }
 
-// EngineState is the serialized form.
-type EngineState struct {
+// QueueState is the serialized form.
+type QueueState struct {
 	Now     int64
 	Seq     uint64
 	Stopped bool
 }
 
-func (e *Engine) Snapshot() EngineState {
-	return EngineState{Now: e.now, Seq: e.seq, Stopped: e.stopped}
+func (q *Queue) Snapshot() QueueState {
+	return QueueState{Now: q.now, Seq: q.seq, Stopped: q.stopped}
 }
 
-func (e *Engine) Restore(st EngineState) {
-	e.now = st.Now
-	e.seq = st.Seq
+func (q *Queue) Restore(st QueueState) {
+	q.now = st.Now
+	q.seq = st.Seq
 }
 
 // Log's state travels only through helper accessors: references must

@@ -6,11 +6,12 @@ import (
 )
 
 // WallClock forbids wall-clock time, global (unseeded) math/rand, and
-// environment reads inside simulation packages. Simulated time must
-// come from sim.Engine and randomness from a seeded sim.Stream;
-// anything else silently breaks run-to-run reproducibility and the
-// kill/resume byte-identity guarantee. cmd/ front-ends, examples, the
-// batch/prof infrastructure, and _test.go files are exempt.
+// environment reads inside simulation packages. Simulated time must be
+// a sim.Time the simulation advances and randomness must come from a
+// seeded sim.Stream; anything else silently breaks run-to-run
+// reproducibility and the kill/resume byte-identity guarantee. cmd/
+// front-ends, examples, the batch/prof infrastructure, and _test.go
+// files are exempt.
 var WallClock = &Analyzer{
 	Name:     "wallclock",
 	Doc:      "forbids time.Now/global rand/os.Getenv in simulation packages",
@@ -70,7 +71,7 @@ func runWallClock(pass *Pass) error {
 			switch packageOf(info, sel) {
 			case "time":
 				if forbiddenTime[name] {
-					pass.Reportf(sel.Pos(), "time.%s reads the host clock; simulation time must come from sim.Engine", name)
+					pass.Reportf(sel.Pos(), "time.%s reads the host clock; simulation time must be a sim.Time the simulation advances", name)
 				}
 			case "math/rand", "math/rand/v2":
 				// Types (rand.Rand, rand.Source) and methods on

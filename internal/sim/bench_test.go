@@ -2,26 +2,6 @@ package sim
 
 import "testing"
 
-// BenchmarkEngineScheduleFire measures raw event throughput: schedule one
-// event per fired event, steady-state heap churn.
-func BenchmarkEngineScheduleFire(b *testing.B) {
-	e := NewEngine()
-	var tick Handler
-	n := 0
-	tick = func(en *Engine) {
-		n++
-		if n < b.N {
-			en.After(Microsecond, tick)
-		}
-	}
-	e.After(0, tick)
-	b.ResetTimer()
-	e.Run()
-	if n != b.N && b.N > 0 {
-		b.Fatalf("fired %d, want %d", n, b.N)
-	}
-}
-
 // BenchmarkStreamDraw measures derived-stream draw cost.
 func BenchmarkStreamDraw(b *testing.B) {
 	s := NewRNG(1).Stream("bench")

@@ -1,9 +1,9 @@
-// Package sim provides the deterministic discrete-event simulation engine
-// that underpins the manycore model: a virtual clock, an event queue, and
-// seeded random-number streams.
+// Package sim provides the simulated time base and the seeded
+// random-number streams that underpin the manycore model.
 //
 // All simulated time is kept as an integer number of nanoseconds (sim.Time)
-// so that event ordering is exact and runs are bit-reproducible.
+// so that the ordering of arrivals and epochs is exact and runs are
+// bit-reproducible.
 package sim
 
 import (
@@ -12,7 +12,7 @@ import (
 )
 
 // Time is a point in simulated time, in nanoseconds since the start of the
-// simulation. Using an integer type keeps event ordering exact across
+// simulation. Using an integer type keeps time comparisons exact across
 // platforms; use the Duration helpers below when converting.
 type Time int64
 
