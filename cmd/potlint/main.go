@@ -7,24 +7,20 @@
 //	potlint -checks maporder,wallclock ./internal/...
 //	potlint -json ./... > findings.json
 //
-// As a go vet tool (unitchecker protocol: go vet hands the tool a JSON
-// .cfg per compilation unit, including test packages):
+// There is no go vet driver: every analyzer skips _test.go files, and
+// test files are all that vet's per-package units add to a standalone
+// run.
 //
-//	go vet -vettool=$(which potlint) ./...
-//
-// Exit status: 0 clean, 1 findings or usage error (standalone),
-// 2 findings (vet mode, matching go vet's convention).
+// Exit status: 0 clean, 1 findings or usage error.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"potsim/internal/lint"
 )
@@ -37,27 +33,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("potlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		checks    = fs.String("checks", "", "comma-separated analyzer names to run (default: all)")
-		jsonOut   = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-		sarifOut  = fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 on stdout (for CI annotations)")
-		listOnly  = fs.Bool("analyzers", false, "list analyzers and exit")
-		dir       = fs.String("C", "", "change to this directory before loading packages")
-		versionFl = fs.String("V", "", "internal: version protocol for cmd/go (use -V=full)")
-		flagsFl   = fs.Bool("flags", false, "internal: describe flags as JSON for cmd/go")
+		checks   = fs.String("checks", "", "comma-separated analyzer names to run (default: all)")
+		jsonOut  = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
+		sarifOut = fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 on stdout (for CI annotations)")
+		listOnly = fs.Bool("analyzers", false, "list analyzers and exit")
+		dir      = fs.String("C", "", "change to this directory before loading packages")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
-	}
-	if *flagsFl {
-		// cmd/go probes vet tools with -flags for the set of vet flags
-		// they accept; potlint exposes none of go vet's own flags.
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-	if *versionFl != "" {
-		// cmd/go invokes vet tools with -V=full and caches on the
-		// printed line; hash the binary so rebuilt tools bust the cache.
-		return printVersion(stdout, *versionFl, stderr)
 	}
 	if *listOnly {
 		for _, a := range lint.All() {
@@ -71,12 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVet(rest[0], analyzers, stderr)
-	}
-
-	pkgs, err := lint.Load(*dir, rest...)
+	pkgs, err := lint.Load(*dir, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -118,23 +96,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "potlint: %d finding(s)\n", len(diags))
 		return 1
 	}
-	return 0
-}
-
-// printVersion implements the -V=full handshake cmd/go requires of vet
-// tools: one line, "<name> version <id>", used as the tool's cache key.
-func printVersion(stdout io.Writer, mode string, stderr io.Writer) int {
-	if mode != "full" {
-		fmt.Fprintf(stderr, "potlint: unsupported -V mode %q\n", mode)
-		return 1
-	}
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%x", sum[:12])
-		}
-	}
-	fmt.Fprintf(stdout, "%s version devel buildID=%s\n", filepath.Base(os.Args[0]), id)
 	return 0
 }

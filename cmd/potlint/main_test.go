@@ -3,9 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -190,42 +188,5 @@ func TestUnknownCheckFails(t *testing.T) {
 	code, _, stderr := runPotlint(t, "-checks", "nosuch", "./...")
 	if code != 1 || !strings.Contains(stderr, "nosuch") {
 		t.Fatalf("exit = %d, stderr = %q; want failure naming the bad analyzer", code, stderr)
-	}
-}
-
-// TestVersionHandshake checks the -V=full line cmd/go keys its vet
-// cache on: one line, "<name> version <id>".
-func TestVersionHandshake(t *testing.T) {
-	code, stdout, stderr := runPotlint(t, "-V=full")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	if !regexp.MustCompile(`^\S+ version devel buildID=[0-9a-f]+\n$`).MatchString(stdout) {
-		t.Fatalf("malformed -V=full line: %q", stdout)
-	}
-}
-
-// TestFlagsProbe checks the -flags probe cmd/go issues before first
-// use: a JSON array (empty — potlint takes none of vet's flags).
-func TestFlagsProbe(t *testing.T) {
-	code, stdout, _ := runPotlint(t, "-flags")
-	if code != 0 || strings.TrimSpace(stdout) != "[]" {
-		t.Fatalf("-flags: exit %d, stdout %q; want 0 and []", code, stdout)
-	}
-}
-
-func TestVetModeBadConfig(t *testing.T) {
-	code, _, stderr := runPotlint(t, filepath.Join(t.TempDir(), "missing.cfg"))
-	if code != 1 || !strings.Contains(stderr, "potlint:") {
-		t.Fatalf("missing cfg: exit %d, stderr %q; want 1 with error", code, stderr)
-	}
-
-	bad := filepath.Join(t.TempDir(), "bad.cfg")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = runPotlint(t, bad)
-	if code != 1 || !strings.Contains(stderr, "parsing") {
-		t.Fatalf("bad cfg: exit %d, stderr %q; want 1 with parse error", code, stderr)
 	}
 }

@@ -1,9 +1,10 @@
 // Command potsimd is the simulation daemon: an HTTP/JSON service that
 // accepts simulation and experiment-suite jobs, runs them with bounded
-// admission, per-job watchdogs and a content-addressed result cache,
-// and survives being killed at any point — durable job state lives
-// under -data-dir and a restart resumes every unfinished job to a
-// byte-identical result.
+// admission and per-job watchdogs, answers an equal submission with a
+// finished job's result, and survives being killed at any point —
+// durable job state lives under -data-dir (one directory per job,
+// whose result.json is the result's only copy on disk) and a restart
+// resumes every unfinished job to a byte-identical result.
 //
 // Usage:
 //

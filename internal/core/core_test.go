@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"path/filepath"
@@ -293,6 +294,29 @@ func TestReportHelpers(t *testing.T) {
 	}
 	if rep.ThroughputPenalty(nil) != 0 {
 		t.Error("nil reference should give 0 penalty")
+	}
+}
+
+// TestLevelHistogramOneRowPerLevel pins each level's count to its own
+// row. At 22 levels, binning the levels as floats into 22 equal buckets
+// put level 15 in the [14,15) row and left [15,16) empty.
+func TestLevelHistogramOneRowPerLevel(t *testing.T) {
+	rep := &Report{LevelRuns: make([]int, 22)}
+	for lvl := range rep.LevelRuns {
+		rep.LevelRuns[lvl] = lvl + 1
+	}
+	rows := strings.Split(strings.TrimSuffix(rep.LevelHistogram(), "\n"), "\n")
+	if len(rows) != len(rep.LevelRuns) {
+		t.Fatalf("%d rows for %d levels", len(rows), len(rep.LevelRuns))
+	}
+	for lvl, row := range rows {
+		want := fmt.Sprintf("%16s %6d ", fmt.Sprintf("[%d,%d)", lvl, lvl+1), lvl+1)
+		if !strings.HasPrefix(row, want) {
+			t.Errorf("level %d row = %q, want prefix %q", lvl, row, want)
+		}
+	}
+	if bars := strings.Count(rows[21], "#"); bars != 40 {
+		t.Errorf("busiest level draws %d columns, want 40", bars)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"potsim/internal/faults"
 	"potsim/internal/guard"
-	"potsim/internal/metrics"
 	"potsim/internal/power"
 	"potsim/internal/scheduler"
 	"potsim/internal/sim"
@@ -329,21 +328,28 @@ func guardCountsLine(counts map[string]int) string {
 	return strings.Join(parts, " ")
 }
 
-// LevelHistogram renders the per-level completed-test histogram (E4).
+// LevelHistogram renders the per-level completed-test histogram (E4):
+// one row per level, its bar scaled to 40 columns at the busiest level.
 func (r *Report) LevelHistogram() string {
 	if len(r.LevelRuns) == 0 {
 		return "(no tests executed)\n"
 	}
-	h, err := metrics.NewHistogram(0, float64(len(r.LevelRuns)), len(r.LevelRuns))
-	if err != nil {
-		return err.Error()
-	}
-	for lvl, n := range r.LevelRuns {
-		for i := 0; i < n; i++ {
-			h.Add(float64(lvl))
+	busiest := 0
+	for _, n := range r.LevelRuns {
+		if n > busiest {
+			busiest = n
 		}
 	}
-	return h.Render(40)
+	var b strings.Builder
+	for lvl, n := range r.LevelRuns {
+		bar := 0
+		if busiest > 0 {
+			bar = n * 40 / busiest
+		}
+		label := fmt.Sprintf("[%.3g,%.3g)", float64(lvl), float64(lvl+1))
+		fmt.Fprintf(&b, "%16s %6d %s\n", label, n, strings.Repeat("#", bar))
+	}
+	return b.String()
 }
 
 // ThroughputPenalty returns the relative throughput loss of this run

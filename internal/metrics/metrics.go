@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics toolkit the experiment
-// harness reports with: sample percentiles, fixed-width histograms, and
-// ASCII/CSV table rendering.
+// harness reports with: sample percentiles and ASCII/CSV table
+// rendering.
 package metrics
 
 import (
@@ -30,66 +30,6 @@ func Percentile(samples []float64, p float64) float64 {
 		rank = 0
 	}
 	return s[rank]
-}
-
-// Histogram counts observations in fixed-width buckets over [Lo, Hi);
-// out-of-range values clamp into the edge buckets.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram allocates a histogram with the given bucket count.
-func NewHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	if buckets < 1 || hi <= lo {
-		return nil, fmt.Errorf("metrics: invalid histogram [%v,%v) x%d", lo, hi, buckets)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, buckets)}, nil
-}
-
-// Add folds one observation in.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// BucketLabel returns a human-readable range label for bucket i.
-func (h *Histogram) BucketLabel(i int) string {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return fmt.Sprintf("[%.3g,%.3g)", h.Lo+float64(i)*w, h.Lo+float64(i+1)*w)
-}
-
-// Render draws the histogram as ASCII bars.
-func (h *Histogram) Render(width int) string {
-	if width < 8 {
-		width = 8
-	}
-	max := 0
-	for _, c := range h.Counts {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		bar := 0
-		if max > 0 {
-			bar = c * width / max
-		}
-		fmt.Fprintf(&b, "%16s %6d %s\n", h.BucketLabel(i), c, strings.Repeat("#", bar))
-	}
-	return b.String()
 }
 
 // Table collects experiment rows and renders them aligned or as CSV.

@@ -3,7 +3,6 @@ package metrics
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestPercentile(t *testing.T) {
@@ -28,41 +27,6 @@ func TestPercentile(t *testing.T) {
 	Percentile(unsorted, 50)
 	if unsorted[0] != 3 {
 		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, -5, 15} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-	want := []int{3, 1, 1, 0, 2} // -5 clamps low, 15 clamps high
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, c, want[i])
-		}
-	}
-	if h.BucketLabel(0) != "[0,2)" {
-		t.Errorf("label = %q", h.BucketLabel(0))
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "#") {
-		t.Error("render has no bars")
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
 	}
 }
 
@@ -103,25 +67,5 @@ func TestFormatFloat(t *testing.T) {
 		if got := FormatFloat(in); got != want {
 			t.Errorf("FormatFloat(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestHistogramConservationProperty(t *testing.T) {
-	prop := func(raw []int8) bool {
-		h, err := NewHistogram(-50, 50, 10)
-		if err != nil {
-			return false
-		}
-		for _, v := range raw {
-			h.Add(float64(v))
-		}
-		sum := 0
-		for _, c := range h.Counts {
-			sum += c
-		}
-		return sum == len(raw) && h.Total() == len(raw)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

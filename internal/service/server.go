@@ -3,8 +3,9 @@
 // HTTP/JSON submissions. It provides bounded admission (explicit queue
 // depth and per-tenant in-flight caps, rejected work is told to retry
 // later rather than silently buffered), per-job watchdogs and panic
-// containment via internal/batch, a content-addressed result cache with
-// single-flight deduplication, per-epoch progress streaming over SSE,
+// containment via internal/batch, content-addressed results (a finished
+// job's result answers every equal submission) with single-flight
+// deduplication, per-epoch progress streaming over SSE,
 // and drain-safe shutdown: on SIGTERM the server stops admitting,
 // checkpoints running jobs through the internal/checkpoint machinery,
 // and a restart on the same data directory resumes every unfinished job
@@ -82,9 +83,9 @@ type canceledRecord struct {
 // Config configures a Server. The zero value is usable: every knob has
 // a production-shaped default.
 type Config struct {
-	// DataDir roots all durable state (jobs/<id>/ and cache/). Empty
-	// disables durability and the result cache survives only in memory —
-	// tests use that; potsimd always sets it.
+	// DataDir roots all durable state (jobs/<id>/). Empty disables
+	// durability: results answer equal submissions only until the
+	// process exits. Tests and potbench use that; potsimd always sets it.
 	DataDir string
 
 	// QueueDepth bounds jobs admitted but not yet running; a full queue
@@ -108,9 +109,8 @@ type Config struct {
 	// jobs and individual suite cells that overrun it fail with a
 	// batch.TimeoutError.
 	CellTimeout time.Duration
-	// Retries and RetryBackoff configure the batch retry budget.
-	Retries      int
-	RetryBackoff time.Duration
+	// Retries is the batch retry budget; a retry starts at once.
+	Retries int
 
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -179,8 +179,7 @@ type Server struct {
 	draining bool
 	stats    Stats
 
-	memCache map[string][]byte   // fingerprint -> result doc, DataDir == "" only
-	cached   map[string]struct{} // fingerprints with a cache/<fp>.json file, DataDir != "" only
+	results map[string][]byte // fingerprint -> result doc of a finished job
 
 	queue     chan *Job
 	drainCh   chan struct{}
@@ -188,10 +187,10 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-// New builds a server, recovers every unfinished job found in
-// cfg.DataDir (stale temp files are swept, finished jobs come back as
-// cache entries, unfinished ones are re-enqueued in admission order),
-// and starts the worker pool.
+// New builds a server, recovers every job found in cfg.DataDir (stale
+// temp files are swept, finished jobs' results answer equal
+// submissions, unfinished ones are re-enqueued in admission order), and
+// starts the worker pool.
 func New(cfg Config) (*Server, error) {
 	cfg.setDefaults()
 	s := &Server{
@@ -199,26 +198,17 @@ func New(cfg Config) (*Server, error) {
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 		tenants:  make(map[string]int),
+		results:  make(map[string][]byte),
 		drainCh:  make(chan struct{}),
 	}
 	if cfg.DataDir != "" {
-		for _, sub := range []string{s.jobsDir(), s.cacheDir()} {
-			if err := os.MkdirAll(sub, 0o755); err != nil {
-				return nil, fmt.Errorf("service: creating data dir: %w", err)
-			}
+		if err := os.MkdirAll(s.jobsDir(), 0o755); err != nil {
+			return nil, fmt.Errorf("service: creating data dir: %w", err)
 		}
-		s.cached = make(map[string]struct{})
 	}
 	recovered, err := s.recoverJobs()
 	if err != nil {
 		return nil, err
-	}
-	if s.cached != nil {
-		// After recovery, so the listing includes the entries
-		// repairCache just rewrote.
-		if err := s.seedCached(); err != nil {
-			return nil, err
-		}
 	}
 	// The channel is sized so that sends under the admission invariant
 	// (queued < QueueDepth, plus the recovered backlog) never block.
@@ -234,31 +224,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-func (s *Server) jobsDir() string  { return filepath.Join(s.cfg.DataDir, "jobs") }
-func (s *Server) cacheDir() string { return filepath.Join(s.cfg.DataDir, "cache") }
-
-// seedCached lists the cache directory once into the fingerprint set,
-// so that loadCacheLocked can answer a miss without touching disk.
-// A cache-index/ directory left by an older daemon is ignored.
-func (s *Server) seedCached() error {
-	entries, err := os.ReadDir(s.cacheDir())
-	if err != nil {
-		return fmt.Errorf("service: scanning cache dir: %w", err)
-	}
-	for _, e := range entries {
-		if fp, ok := strings.CutSuffix(e.Name(), ".json"); ok && !e.IsDir() {
-			s.cached[fp] = struct{}{}
-		}
-	}
-	return nil
-}
-
-// markCached records a successful write of cache/<fp>.json.
-func (s *Server) markCached(fp string) {
-	s.mu.Lock()
-	s.cached[fp] = struct{}{}
-	s.mu.Unlock()
-}
+// jobsDir holds one directory per admitted job. Anything else in the
+// data dir, such as the cache/ or cache-index/ an older daemon wrote,
+// is ignored.
+func (s *Server) jobsDir() string { return filepath.Join(s.cfg.DataDir, "jobs") }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -267,10 +236,10 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // recoverJobs scans the jobs directory and rebuilds in-memory state:
-// finished jobs are reloaded (and their cache entries repaired if the
-// crash hit between the result and cache writes), canceled/failed jobs
-// keep their terminal state, and everything else — killed at whatever
-// point — is re-enqueued to resume from its journal and snapshots.
+// finished jobs are reloaded and their results answer equal
+// submissions, canceled/failed jobs keep their terminal state, and
+// everything else — killed at whatever point — is re-enqueued to resume
+// from its journal and snapshots.
 func (s *Server) recoverJobs() ([]*Job, error) {
 	if s.cfg.DataDir == "" {
 		return nil, nil
@@ -329,7 +298,7 @@ func (s *Server) recoverJobs() ([]*Job, error) {
 			}
 			job.settle(StateDone, blob, "")
 			s.stats.GuardViolations += doc.GuardViolations
-			s.repairCache(job.Fingerprint, &doc)
+			s.results[job.Fingerprint] = blob
 			s.adopt(job)
 			continue
 		case !os.IsNotExist(rerr):
@@ -378,47 +347,21 @@ func (s *Server) seqOf(id string) int {
 	return n
 }
 
-// repairCache makes sure a finished job's result is present in the
-// content-addressed cache (the crash may have hit between the two
-// writes; the per-job result is authoritative).
-func (s *Server) repairCache(fp string, doc *ResultDoc) {
-	path := s.cachePath(fp)
-	if path == "" {
-		return
-	}
-	var have ResultDoc
-	if err := checkpoint.Load(path, resultKind, resultVersion, &have); err == nil {
-		return
-	}
-	if err := checkpoint.Save(path, resultKind, resultVersion, doc); err != nil {
-		s.logf("cache repair for %s: %v", fp, err)
-	} else {
-		s.markCached(fp)
-	}
-}
-
-func (s *Server) cachePath(fp string) string {
-	if s.cfg.DataDir == "" {
-		return ""
-	}
-	return filepath.Join(s.cacheDir(), fp+".json")
-}
-
 // SubmitOutcome reports how a submission was satisfied.
 type SubmitOutcome struct {
 	Job *Job
 	// Deduped: an identical job was already queued or running; the
 	// caller was attached to it instead of a new execution.
 	Deduped bool
-	// CacheHit: the result already existed in the content-addressed
-	// cache; the returned job was born done.
+	// CacheHit: a finished job already holds the result; the returned
+	// job was born done and shares its bytes.
 	CacheHit bool
 }
 
 // Submit validates, fingerprints and admits a job. Identical in-flight
-// work is deduplicated (single-flight), cached results are returned
-// without execution, and overload is rejected with ErrQueueFull /
-// ErrTenantLimit rather than buffered.
+// work is deduplicated (single-flight), finished results are returned
+// without execution or disk access, and overload is rejected with
+// ErrQueueFull / ErrTenantLimit rather than buffered.
 func (s *Server) Submit(spec JobSpec, tenant string) (SubmitOutcome, error) {
 	if tenant == "" {
 		tenant = "anon"
@@ -443,7 +386,7 @@ func (s *Server) Submit(spec JobSpec, tenant string) (SubmitOutcome, error) {
 		s.mu.Unlock()
 		return SubmitOutcome{Job: j, Deduped: true}, nil
 	}
-	if doc, ok := s.loadCacheLocked(fp); ok {
+	if doc, ok := s.results[fp]; ok {
 		job := s.newCachedJobLocked(spec, tenant, fp, doc)
 		s.stats.CacheHits++
 		s.mu.Unlock()
@@ -515,7 +458,8 @@ func (s *Server) persistJob(job *Job) error {
 
 // newCachedJobLocked materialises a cache hit as a job that was born
 // done: it gets an ID and shows up in listings, but owns no directory
-// and never touches the queue. Called with s.mu held.
+// and never touches the queue. It shares doc with the finished job;
+// settled results are never written to. Called with s.mu held.
 func (s *Server) newCachedJobLocked(spec JobSpec, tenant, fp string, doc []byte) *Job {
 	job := &Job{
 		ID:          fmt.Sprintf("j%06d-%s", s.seq, fp[:8]),
@@ -530,31 +474,6 @@ func (s *Server) newCachedJobLocked(spec JobSpec, tenant, fp string, doc []byte)
 	job.settle(StateDone, doc, "")
 	s.adopt(job)
 	return job
-}
-
-// loadCacheLocked reads the content-addressed cache. In-memory dedup of
-// finished jobs is subsumed: completed jobs always write the cache file
-// first (or, with no DataDir, an in-memory entry via memCache).
-func (s *Server) loadCacheLocked(fp string) ([]byte, bool) {
-	if s.cfg.DataDir == "" {
-		doc, ok := s.memCache[fp]
-		return doc, ok
-	}
-	// Every cache file is in s.cached (listed at startup, added on each
-	// write), so a fingerprint missing from it is a miss without a disk
-	// probe.
-	if _, ok := s.cached[fp]; !ok {
-		return nil, false
-	}
-	var doc ResultDoc
-	if err := checkpoint.Load(s.cachePath(fp), resultKind, resultVersion, &doc); err != nil {
-		return nil, false
-	}
-	blob, err := json.Marshal(&doc)
-	if err != nil {
-		return nil, false
-	}
-	return blob, true
 }
 
 // Job looks a job up by ID.
@@ -724,7 +643,6 @@ func (s *Server) runJob(job *Job) {
 		// run and a retry resumes from the latest snapshot.
 		opts.CellTimeout = s.cfg.CellTimeout
 		opts.Retries = s.cfg.Retries
-		opts.RetryBackoff = s.cfg.RetryBackoff
 	}
 	doc, err := batch.Run(ctx, opts, func(ctx context.Context) (ResultDoc, error) {
 		if job.Spec.Kind == KindSim {
@@ -740,7 +658,7 @@ func (s *Server) runJob(job *Job) {
 			s.settleJob(job, StateFailed, nil, merr)
 			return
 		}
-		s.persistResult(job, &doc)
+		s.persistResult(job, &doc, blob)
 		job.settle(StateDone, blob, "")
 		s.countSettled(StateDone, &doc)
 		s.release(job)
@@ -787,32 +705,17 @@ func (s *Server) writeCanceled(job *Job) {
 	}
 }
 
-// persistResult writes the per-job result first (authoritative), then
-// the cache entry; recovery repairs the cache from the result if a
-// crash lands between the two.
-func (s *Server) persistResult(job *Job, doc *ResultDoc) {
+// persistResult writes the job's result.json, its only durable copy,
+// and then lets blob, the marshalled doc, answer equal submissions.
+func (s *Server) persistResult(job *Job, doc *ResultDoc, blob []byte) {
 	if job.dir != "" {
 		if err := checkpoint.Save(filepath.Join(job.dir, "result.json"), resultKind, resultVersion, doc); err != nil {
 			s.logf("persisting result of %s: %v", job.ID, err)
 		}
 	}
-	if path := s.cachePath(job.Fingerprint); path != "" {
-		if err := checkpoint.Save(path, resultKind, resultVersion, doc); err != nil {
-			s.logf("caching result of %s: %v", job.ID, err)
-		} else {
-			s.markCached(job.Fingerprint)
-		}
-	} else {
-		blob, err := json.Marshal(doc)
-		if err == nil {
-			s.mu.Lock()
-			if s.memCache == nil {
-				s.memCache = make(map[string][]byte)
-			}
-			s.memCache[job.Fingerprint] = blob
-			s.mu.Unlock()
-		}
-	}
+	s.mu.Lock()
+	s.results[job.Fingerprint] = blob
+	s.mu.Unlock()
 }
 
 func (s *Server) countSettled(state State, doc *ResultDoc) {
@@ -905,7 +808,6 @@ func (s *Server) runSuite(ctx context.Context, job *Job) (ResultDoc, error) {
 		Workers:         s.cfg.CellWorkers,
 		CellTimeout:     s.cfg.CellTimeout,
 		Retries:         s.cfg.Retries,
-		RetryBackoff:    s.cfg.RetryBackoff,
 		CheckpointDir:   job.dir,
 		Resume:          true,
 		CheckpointEvery: s.cfg.CheckpointEvery,

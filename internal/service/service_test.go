@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"potsim/internal/checkpoint"
 	"potsim/internal/sim"
 )
 
@@ -178,57 +179,119 @@ func TestCacheHitSameServerAndAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestCacheIndexBacksHitsAcrossRestart covers the crash window between
-// a job's result.json write and its cache/<fp>.json write: with the cache
-// file gone, a restart rewrites it from the job's result, the in-memory
-// fingerprint index (seeded after that repair) lists it, and the
-// resubmission is answered from the cache without running the job again.
+// TestCacheIndexBacksHitsAcrossRestart starts a server on a data dir in
+// the layout older daemons left: a finished job's job.json and
+// result.json, plus a cache/ directory, here holding only a garbage
+// file. The index is rebuilt from the job's result, so the resubmission
+// is a hit with the original bytes and runs nothing; cache/ is neither
+// read nor removed.
 func TestCacheIndexBacksHitsAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
 	spec := simSpec(20*sim.Millisecond, 17)
-
-	s1, err := New(Config{DataDir: dir})
+	ref, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s1.Submit(spec, "")
+	first, err := ref.Submit(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, first.Job, StateDone)
 	golden, _ := first.Job.Result()
-	drain(t, s1)
+	drain(t, ref)
 
-	if err := os.Remove(filepath.Join(dir, "cache", first.Job.Fingerprint+".json")); err != nil {
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "jobs", first.Job.ID)
+	stale := filepath.Join(dir, "cache", first.Job.Fingerprint+".json")
+	for _, d := range []string{jobDir, filepath.Dir(stale)} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := jobRecord{ID: first.Job.ID, Tenant: "anon", Fingerprint: first.Job.Fingerprint, Spec: spec}
+	if err := checkpoint.Save(filepath.Join(jobDir, "job.json"), jobKind, jobVersion, &rec); err != nil {
+		t.Fatal(err)
+	}
+	var doc ResultDoc
+	if err := json.Unmarshal(golden, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Save(filepath.Join(jobDir, "result.json"), resultKind, resultVersion, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stale, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := New(Config{DataDir: dir})
+	s, err := New(Config{DataDir: dir})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("an old cache/ must not fail startup: %v", err)
 	}
-	defer drain(t, s2)
-	again, err := s2.Submit(spec, "")
+	defer drain(t, s)
+	again, err := s.Submit(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !again.CacheHit {
-		t.Fatal("resubmission after the cache repair missed the cache")
+		t.Fatal("resubmission on an old-layout data dir missed the cache")
 	}
 	got, _ := again.Job.Result()
 	if !bytes.Equal(golden, got) {
-		t.Fatal("repaired cache entry differs from the computed result")
+		t.Fatal("hit differs from the job's result.json")
 	}
-	if st := s2.Stats(); st.CacheHits != 1 || st.Completed != 0 {
+	if st := s.Stats(); st.CacheHits != 1 || st.Completed != 0 {
 		t.Fatalf("restarted server stats: %+v", st)
+	}
+	if _, err := os.Stat(stale); err != nil {
+		t.Fatalf("the old cache/ entry was touched: %v", err)
 	}
 }
 
-// TestCacheIndexRebuildsFromCacheDir checks that a restarted server
-// rebuilds its fingerprint index from the cache/ listing alone: a
-// corrupt cache-index/ directory left by an older daemon is ignored,
-// every cached fingerprint is a hit, and an unseen spec misses and runs.
-func TestCacheIndexRebuildsFromCacheDir(t *testing.T) {
+// TestCacheHitReadsNoFile deletes a finished job's result.json, the
+// result's only durable copy, and resubmits in the same process: the hit
+// still carries the computed bytes, so it reads nothing from disk. With
+// no data dir the same in-memory index answers.
+func TestCacheHitReadsNoFile(t *testing.T) {
+	for _, dataDir := range []string{"", t.TempDir()} {
+		s, err := New(Config{DataDir: dataDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := simSpec(20*sim.Millisecond, 37)
+		first, err := s.Submit(spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, first.Job, StateDone)
+		golden, _ := first.Job.Result()
+		if dataDir != "" {
+			if err := os.Remove(filepath.Join(s.jobsDir(), first.Job.ID, "result.json")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		again, err := s.Submit(spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.CacheHit {
+			t.Fatalf("data dir %q: resubmission missed the cache", dataDir)
+		}
+		got, _ := again.Job.Result()
+		if !bytes.Equal(golden, got) {
+			t.Fatalf("data dir %q: hit differs from the computed result", dataDir)
+		}
+		if st := s.Stats(); st.CacheHits != 1 || st.Completed != 1 {
+			t.Fatalf("data dir %q: stats %+v", dataDir, st)
+		}
+		drain(t, s)
+	}
+}
+
+// TestCacheIndexRebuildsFromJobResults checks that a restarted server
+// rebuilds its fingerprint index from the finished jobs' result.json
+// files alone: no cache/ directory is ever written, a corrupt
+// cache-index/ directory left by an older daemon is ignored, every
+// finished fingerprint is a hit, and an unseen spec misses and runs.
+func TestCacheIndexRebuildsFromJobResults(t *testing.T) {
 	dir := t.TempDir()
 	specs := []JobSpec{simSpec(20*sim.Millisecond, 19), simSpec(20*sim.Millisecond, 23)}
 
@@ -244,6 +307,9 @@ func TestCacheIndexRebuildsFromCacheDir(t *testing.T) {
 		waitState(t, out.Job, StateDone)
 	}
 	drain(t, s1)
+	if _, err := os.Stat(filepath.Join(dir, "cache")); !os.IsNotExist(err) {
+		t.Fatalf("finished jobs wrote a cache/ directory: %v", err)
+	}
 
 	stale := filepath.Join(dir, "cache-index")
 	if err := os.MkdirAll(stale, 0o755); err != nil {
@@ -264,7 +330,7 @@ func TestCacheIndexRebuildsFromCacheDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !hit.CacheHit {
-			t.Fatalf("spec %d: rebuilt index lost the cache entry", i)
+			t.Fatalf("spec %d: rebuilt index lost the finished result", i)
 		}
 	}
 	fresh, err := s2.Submit(simSpec(20*sim.Millisecond, 29), "")
