@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -251,13 +252,30 @@ func TestInterruptSavesSnapshotAndResumeMatches(t *testing.T) {
 
 	dir := t.TempDir()
 	withCkpt := append(append([]string{}, args...), "-checkpoint-dir", dir)
+	// A SIGINT that lands outside run's handler, before it is installed
+	// or after the run returned, must not kill the test binary: the
+	// sink takes it. The run gets a SIGINT every 20ms until it returns,
+	// so the first one to reach its handler stops it, however fast the
+	// simulation runs.
+	sink := make(chan os.Signal, 1)
+	signal.Notify(sink, os.Interrupt)
+	defer signal.Stop(sink)
 	errc := make(chan error, 1)
 	go func() { errc <- run(withCkpt) }()
-	time.Sleep(300 * time.Millisecond)
-	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
-		t.Fatal(err)
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	var ierr error
+	for waiting := true; waiting; {
+		select {
+		case ierr = <-errc:
+			waiting = false
+		case <-tick.C:
+			if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if ierr := <-errc; !errors.Is(ierr, core.ErrInterrupted) {
+	if !errors.Is(ierr, core.ErrInterrupted) {
 		t.Fatalf("interrupted run returned %v, want core.ErrInterrupted", ierr)
 	}
 	snap := filepath.Join(dir, "potsim.ckpt")

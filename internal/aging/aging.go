@@ -114,6 +114,9 @@ type coreAging struct {
 	effStressSec float64 // acceleration-weighted stress seconds
 	stress       float64 //potlint:nosnap derived: Stress of effStressSec, recomputed by Advance and Restore
 	utilEwma     float64 // smoothed utilization (the "utilization metric")
+	// volt holds exp(GammaV*(v-VRef)) at the last positive voltage v the
+	// core ran at: a core keeps one DVFS level for many epochs.
+	volt struct{ v, factor float64 } //potlint:nosnap memo; Restore rebuilds the core with v = 0, which no positive voltage matches
 }
 
 // NewTracker creates a tracker for n cores.
@@ -146,7 +149,14 @@ func (t *Tracker) Advance(now sim.Time, states []CoreState) error {
 	t.lastAt = now
 	for i, st := range states {
 		c := &t.cores[i]
-		af := t.accel(st)
+		// An idle core adds dt·AccelFactor·0·af = +0 for any finite af,
+		// and af is finite unless the temperature is NaN: max(T, 1)
+		// bounds the Arrhenius exponent, a DVFS table the voltage.
+		af := 0.0
+		//potlint:floateq exact zero: only utilization 0 makes the stress term +0 whatever the finite af
+		if st.Utilization != 0 || math.IsNaN(st.TempK) {
+			af = t.accel(c, st)
+		}
 		c.effStressSec += dt * t.params.AccelFactor * st.Utilization * af
 		// NBTI partial recovery: the idle fraction of the interval
 		// anneals a share of the accumulated stress away.
@@ -164,15 +174,19 @@ func (t *Tracker) Advance(now sim.Time, states []CoreState) error {
 	return nil
 }
 
-// accel is the combined voltage/temperature acceleration factor.
-func (t *Tracker) accel(st CoreState) float64 {
+// accel is the combined voltage/temperature acceleration factor of core
+// c; the voltage factor comes from c's memo when its voltage is unchanged.
+func (t *Tracker) accel(c *coreAging, st CoreState) float64 {
 	if st.Voltage <= 0 {
 		return 0 // power-gated cores do not stress
 	}
-	p := t.params
-	av := math.Exp(p.GammaV * (st.Voltage - p.VRef))
+	p := &t.params
+	//potlint:floateq memo key: only the same voltage yields the same factor bits
+	if st.Voltage != c.volt.v {
+		c.volt.v, c.volt.factor = st.Voltage, math.Exp(p.GammaV*(st.Voltage-p.VRef))
+	}
 	at := math.Exp(p.EaEv / boltzmannEvK * (1/p.TRef - 1/math.Max(st.TempK, 1)))
-	return av * at
+	return c.volt.factor * at
 }
 
 // DeltaVth returns core id's accumulated NBTI threshold drift in volts.
@@ -181,7 +195,18 @@ func (t *Tracker) DeltaVth(id int) float64 {
 	if years <= 0 {
 		return 0
 	}
-	return t.params.ACoeff * math.Pow(years, t.params.Exp)
+	return t.params.ACoeff * pow(years, t.params.Exp)
+}
+
+// pow is math.Pow(x, y) for y in (0, 1), bit for bit. For y < 0.5,
+// math.Pow returns Ldexp(Exp(y*Log(x)), 0) = Exp(y*Log(x)), and its
+// special cases (x = 0, 1, +Inf, NaN) agree; from 0.5 on it takes other
+// paths (Sqrt, or fraction y-1), so those exponents call it.
+func pow(x, y float64) float64 {
+	if y < 0.5 {
+		return math.Exp(y * math.Log(x))
+	}
+	return math.Pow(x, y)
 }
 
 // Stress returns core id's wear indicator in [0,1]: DeltaVth relative to

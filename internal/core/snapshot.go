@@ -441,14 +441,14 @@ func (s *System) Restore(snap *Snapshot) error {
 			cr.task = &app.tasks[cs.Task]
 		}
 		if cs.Test != nil {
-			ex, err := sbst.RestoreExec(*cs.Test)
+			ex, err := s.restoreExec(*cs.Test)
 			if err != nil {
 				return fmt.Errorf("core: snapshot core %d test: %w", id, err)
 			}
 			cr.test = ex
 		}
 		if cs.Suspended != nil {
-			ex, err := sbst.RestoreExec(*cs.Suspended)
+			ex, err := s.restoreExec(*cs.Suspended)
 			if err != nil {
 				return fmt.Errorf("core: snapshot core %d suspended test: %w", id, err)
 			}
@@ -482,4 +482,17 @@ func (s *System) Restore(snap *Snapshot) error {
 	s.testDelivery = c.TestDelivery
 	s.decommissioned = append([]int(nil), c.Decommissioned...)
 	return nil
+}
+
+// restoreExec rebuilds a snapshot's test execution and checks that it
+// runs at its level's operating point, as advance prices it by level.
+func (s *System) restoreExec(st sbst.ExecState) (*sbst.Exec, error) {
+	ex, err := sbst.RestoreExec(st)
+	if err != nil {
+		return nil, err
+	}
+	if ex.Level < 0 || ex.Level >= s.table.Levels() || ex.Point != s.table.Point(ex.Level) {
+		return nil, fmt.Errorf("level %d operating point %+v is not the DVFS table's", ex.Level, ex.Point)
+	}
+	return ex, nil
 }

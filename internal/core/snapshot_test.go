@@ -276,6 +276,33 @@ func TestRestoreRejectsCorruptedAndMismatchedSnapshots(t *testing.T) {
 	if err := sys.Restore(&snap); err == nil || !bytes.Contains([]byte(err.Error()), []byte("different configuration")) {
 		t.Fatalf("config mismatch accepted or undescriptive: %v", err)
 	}
+
+	// A test off its level's operating point: the epoch loop prices test
+	// power by level, so the point must be the table's.
+	path = runKilledAt(t, cfg, 166) // tests are in flight over epochs 165-171
+	for _, edit := range []func(*sbst.ExecState){
+		func(st *sbst.ExecState) { st.Point.FreqHz /= 2 },
+		func(st *sbst.ExecState) { st.Level = 99 },
+	} {
+		if err := checkpoint.Load(path, SnapshotKind, SnapshotVersion, &snap); err != nil {
+			t.Fatal(err)
+		}
+		id := 0
+		for id < len(snap.Cores) && snap.Cores[id].Test == nil {
+			id++
+		}
+		if id == len(snap.Cores) {
+			t.Fatal("no test in flight at the snapshot")
+		}
+		edit(snap.Cores[id].Test)
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Restore(&snap); err == nil || !bytes.Contains([]byte(err.Error()), []byte("operating point")) {
+			t.Fatalf("test off its level's operating point accepted or undescriptive: %v", err)
+		}
+	}
 }
 
 func TestRestoreRequiresFreshSystem(t *testing.T) {

@@ -123,7 +123,7 @@ type System struct {
 	capture *workload.Capture // non-nil when recording
 	mapper  mapping.Policy    //potlint:nosnap stateless policy, rebuilt from Config
 	grid    *mapping.Grid
-	model   power.Model //potlint:nosnap stateless model, rebuilt from Config
+	levels  *power.LevelModel //potlint:nosnap per-level power factors, rebuilt from Config
 	acct    *power.Accountant
 	budget  *power.Budget
 	capper  *dvfs.PIDCapper
@@ -137,6 +137,8 @@ type System struct {
 	policy  scheduler.Policy //potlint:nosnap stateless policy, rebuilt from Config
 	pots    *scheduler.POTS  // nil for NoTest
 	faultRn *sim.Stream
+
+	phaseMemo sbst.PhaseMemo //potlint:nosnap the launched tests' fault-free phase compactions, pure functions of their keys, refilled on a miss
 
 	events *eventlog.Log
 
@@ -312,7 +314,7 @@ func New(cfg Config) (*System, error) {
 		capture:    capture,
 		mapper:     mapper,
 		grid:       mapping.NewGrid(cfg.Width, cfg.Height),
-		model:      power.NewModel(cfg.Node),
+		levels:     power.NewLevelModel(cfg.Node, table),
 		acct:       acct,
 		budget:     budget,
 		capper:     capper,
@@ -371,7 +373,7 @@ func New(cfg Config) (*System, error) {
 	}
 	schedCfg := scheduler.Config{
 		Cores:       cfg.Cores(),
-		Model:       s.model,
+		Model:       power.NewModel(cfg.Node),
 		Table:       table,
 		Criticality: cfg.Criticality,
 		Routines:    sbst.SegmentLibrary(sbst.Library(), cfg.TestSegmentCycles),
@@ -686,7 +688,7 @@ func (s *System) planTests(now sim.Time) {
 			continue
 		}
 		pt := s.table.Point(d.Level)
-		cr.test = sbst.NewExec(d.Routine, d.Core, d.Level, pt, now)
+		cr.test = sbst.NewExec(d.Routine, d.Core, d.Level, pt, now, &s.phaseMemo)
 		cr.state = coreTesting
 		cr.level = d.Level
 		// The test program is fetched from the memory controller at the
@@ -809,12 +811,12 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 			}
 			// Reserved cores idle at the lowest level while waiting.
 			pt := s.table.Point(0)
-			wl = s.model.IdlePower(pt.Voltage, tempK)
+			wl = s.levels.Core(0, 0, tempK)
 			states[id] = aging.CoreState{Voltage: pt.Voltage, TempK: tempK}
 
 		case coreFree:
 			pt := s.table.Point(0)
-			wl = s.model.IdlePower(pt.Voltage, tempK)
+			wl = s.levels.Core(0, 0, tempK)
 			states[id] = aging.CoreState{Voltage: pt.Voltage, TempK: tempK}
 		}
 
@@ -857,7 +859,7 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 			if !tr.iterFired && tr.executed >= tr.effIter {
 				s.fireFirstIteration(tr, now)
 			}
-			wl = s.model.Core(pt.Voltage, pt.FreqHz, tr.task.Activity, tempK)
+			wl = s.levels.Core(lvl, tr.task.Activity, tempK)
 			states[id] = aging.CoreState{Utilization: 1, Voltage: pt.Voltage, TempK: tempK}
 			s.busyCoreEpochs++
 			if tr.remaining <= 0 {
@@ -867,13 +869,12 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 
 		if cr.state == coreTesting {
 			ex := cr.test
-			pt := ex.Point
 			if now > cr.testStallUntil {
 				ex.Advance(dt)
 			}
-			act := ex.CurrentActivity()
-			tst = s.model.Core(pt.Voltage, pt.FreqHz, act, tempK)
-			states[id] = aging.CoreState{Utilization: 1, Voltage: pt.Voltage, TempK: tempK}
+			// ex.Point is table.Point(ex.Level) at launch and after Restore.
+			tst = s.levels.Core(ex.Level, ex.CurrentActivity(), tempK)
+			states[id] = aging.CoreState{Utilization: 1, Voltage: ex.Point.Voltage, TempK: tempK}
 			if ex.Done() {
 				s.completeTest(id, ex, now)
 			}

@@ -36,12 +36,15 @@ type Grid struct {
 	// for every candidate seed, every epoch an application is pending —
 	// allocates nothing. visited is a stamped set (visited[i] == stamp
 	// means seen this search), sparing a per-search clear; regionA/B
-	// double-buffer candidate regions for best-so-far policies.
+	// double-buffer candidate regions for best-so-far policies. dead is
+	// stamped likewise, once per Map call (mapSeq).
 	stamp   int   //potlint:nosnap BFS scratch; beginSearch re-stamps before every use
 	visited []int //potlint:nosnap BFS scratch; beginSearch re-stamps before every use
 	queue   []int //potlint:nosnap BFS scratch, rewritten before every use
 	regionA []int //potlint:nosnap BFS scratch, rewritten before every use
 	regionB []int //potlint:nosnap BFS scratch, rewritten before every use
+	mapSeq  int   //potlint:nosnap per-Map scratch; beginMap re-stamps before every use
+	dead    []int //potlint:nosnap per-Map scratch; beginMap re-stamps before every use
 }
 
 // NewGrid allocates an all-free grid.
@@ -85,6 +88,15 @@ func (g *Grid) beginSearch() {
 		g.stamp = 0
 	}
 	g.stamp++
+}
+
+// beginMap empties the dead-seed set for a fresh Map call.
+func (g *Grid) beginMap() {
+	if len(g.dead) != len(g.Cores) {
+		g.dead = make([]int, len(g.Cores))
+		g.mapSeq = 0
+	}
+	g.mapSeq++
 }
 
 // Assignment maps task ID -> core coordinate.
@@ -139,14 +151,17 @@ func (FirstFree) Map(g *workload.Graph, grid *Grid) (Assignment, bool) {
 // growRegion BFS-expands from seed over free cores until need cores are
 // collected, appending them into out (reset to length zero first);
 // ok=false if the free region is too small. Ties expand in
-// deterministic index order. The grid's scratch buffers back the search
-// state, so the returned slice is only valid until the next search that
-// reuses out's backing array.
+// deterministic index order. A failed search has drained the seed's
+// free component, too small from any of its cores, so it marks the
+// component dead for the rest of the Map call, which beginMap starts.
+// The grid's scratch buffers back the search state, so the returned
+// slice is only valid until the next search that reuses out's backing
+// array.
 //
 //potlint:allocfree
 func growRegion(grid *Grid, seed, need int, out []int) ([]int, bool) {
 	out = out[:0]
-	if !grid.Cores[seed].Free {
+	if !grid.Cores[seed].Free || grid.dead[seed] == grid.mapSeq {
 		return out, false
 	}
 	grid.beginSearch()
@@ -165,7 +180,13 @@ func growRegion(grid *Grid, seed, need int, out []int) ([]int, bool) {
 		}
 	}
 	grid.queue = queue
-	return out, len(out) >= need
+	if len(out) < need {
+		for _, id := range queue {
+			grid.dead[id] = grid.mapSeq
+		}
+		return out, false
+	}
+	return out, true
 }
 
 // NearestNeighbour takes the first free core as the seed and BFS-grows a
@@ -178,6 +199,7 @@ func (NearestNeighbour) Name() string { return "NN" }
 // Map implements Policy.
 func (NearestNeighbour) Map(g *workload.Graph, grid *Grid) (Assignment, bool) {
 	need := g.Size()
+	grid.beginMap()
 	for i := range grid.Cores {
 		if !grid.Cores[i].Free {
 			continue
@@ -201,6 +223,7 @@ func (CoNA) Name() string { return "CoNA" }
 // Map implements Policy.
 func (CoNA) Map(g *workload.Graph, grid *Grid) (Assignment, bool) {
 	need := g.Size()
+	grid.beginMap()
 	type cand struct{ idx, freeNb int }
 	var cands []cand
 	for i := range grid.Cores {
@@ -266,6 +289,7 @@ func (*TUM) Name() string { return "TUM" }
 // cores + utilization history + dispersion from the seed) wins.
 func (m *TUM) Map(g *workload.Graph, grid *Grid) (Assignment, bool) {
 	need := g.Size()
+	grid.beginMap()
 	bestCost := math.Inf(1)
 	var best []int
 	// Candidate regions double-buffer through the grid scratch: the

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 
+	"potsim/internal/dvfs"
 	"potsim/internal/sim"
 	"potsim/internal/tech"
 )
@@ -51,6 +52,38 @@ func (m Model) Core(v, f, activity, tK float64) Breakdown {
 // switching, leakage only.
 func (m Model) IdlePower(v, tK float64) Breakdown {
 	return m.Core(v, 0, 0, tK)
+}
+
+// LevelModel is Model at the operating points of a DVFS table, whose
+// voltages are positive. The leakage voltage factor is evaluated once
+// per level, so a call computes only the dynamic term and the
+// temperature exponent. Core(level, a, T) is bit-equal to Model.Core at
+// points[level]: both form ((v*ILeak0)*exp(KV*(v-VNom)))*exp(KT*(T-T0)).
+type LevelModel struct {
+	node   *tech.Node
+	points []tech.OperatingPoint
+	leakV  []float64 // LeakageVoltageFactor of each level's voltage
+}
+
+// NewLevelModel returns the power model of node at the levels of table.
+func NewLevelModel(node tech.Node, table *dvfs.Table) *LevelModel {
+	n := table.Levels()
+	m := &LevelModel{node: &node, points: make([]tech.OperatingPoint, n), leakV: make([]float64, n)}
+	for l := range m.points {
+		m.points[l] = table.Point(l)
+		m.leakV[l] = node.LeakageVoltageFactor(m.points[l].Voltage)
+	}
+	return m
+}
+
+// Core returns Model.Core at the operating point of level, which must
+// index the model's points.
+func (m *LevelModel) Core(level int, activity, tK float64) Breakdown {
+	pt := m.points[level]
+	return Breakdown{
+		Dynamic: m.node.DynamicPower(pt.Voltage, pt.FreqHz, activity),
+		Leakage: m.leakV[level] * m.node.LeakageTempFactor(tK),
+	}
 }
 
 // Accountant tracks per-core power contributions, integrates chip energy

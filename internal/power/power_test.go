@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"potsim/internal/dvfs"
 	"potsim/internal/sim"
 	"potsim/internal/tech"
 )
@@ -205,5 +206,49 @@ func TestAccountantConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCore is Model.Core with the leakage product written as one
+// expression, as it was before the per-level split; LevelModel and
+// Model.Core must both equal it bit for bit.
+func refCore(n tech.Node, v, f, activity, tK float64) Breakdown {
+	if v <= 0 {
+		return Breakdown{}
+	}
+	return Breakdown{
+		Dynamic: n.DynamicPower(v, f, activity),
+		Leakage: v * n.ILeak0 * math.Exp(n.KV*(v-n.VNom)) * math.Exp(n.KT*(tK-n.T0)),
+	}
+}
+
+func TestLevelModelBitEqualsModel(t *testing.T) {
+	same := func(a, b Breakdown) bool {
+		return math.Float64bits(a.Dynamic) == math.Float64bits(b.Dynamic) &&
+			math.Float64bits(a.Leakage) == math.Float64bits(b.Leakage)
+	}
+	for _, node := range tech.Nodes() {
+		m := NewModel(node)
+		for _, levels := range []int{2, 8, 22} {
+			table := dvfs.NewTable(node, levels)
+			lm := NewLevelModel(node, table)
+			for l := 0; l < table.Levels(); l++ {
+				pt := table.Point(l)
+				for tK := 250.0; tK < 450; tK += 0.37 {
+					for _, act := range []float64{0, 0.35, 0.95, 1.3} {
+						got := lm.Core(l, act, tK)
+						want := refCore(node, pt.Voltage, pt.FreqHz, act, tK)
+						if !same(got, want) || !same(m.Core(pt.Voltage, pt.FreqHz, act, tK), want) {
+							t.Fatalf("%s, %d levels, level %d, T=%v, activity %v: LevelModel %+v, Model %+v, reference %+v",
+								node.Name, levels, l, tK, act, got, m.Core(pt.Voltage, pt.FreqHz, act, tK), want)
+						}
+					}
+					if got, want := lm.Core(l, 0, tK), m.IdlePower(pt.Voltage, tK); !same(got, want) {
+						t.Fatalf("%s, %d levels, level %d, T=%v: idle LevelModel %+v, IdlePower %+v",
+							node.Name, levels, l, tK, got, want)
+					}
+				}
+			}
+		}
 	}
 }

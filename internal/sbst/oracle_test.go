@@ -3,6 +3,7 @@ package sbst
 import (
 	"encoding/binary"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"potsim/internal/sim"
@@ -79,7 +80,7 @@ func TestSignatureMatchesEqualsReplayedGolden(t *testing.T) {
 	full, _ := ByName("functional-full") // five phases
 	quick0, _ := ByName("march-quick")   // 256 + 256 words
 	const dt = 23 * sim.Microsecond      // 46k cycles: phases end mid-step
-	newExec := func(r Routine) *Exec { return NewExec(r, 1, 2, pt(2e9), 0) }
+	newExec := func(r Routine) *Exec { return NewExec(r, 1, 2, pt(2e9), 0, nil) }
 
 	t.Run("fault-free", func(t *testing.T) {
 		if !runChecked(t, "fault-free", newExec(full), dt) {
@@ -160,36 +161,109 @@ func TestSignatureMatchesEqualsReplayedGolden(t *testing.T) {
 
 // TestExecPhaseCompletionZeroAlloc pins the absorb path: once an Exec
 // exists, running it across phase boundaries, with and without
-// corrupted responses, and checking its signature allocate nothing.
+// corrupted responses, and checking its signature allocate nothing,
+// both without a memo and with one that already holds the routine.
 func TestExecPhaseCompletionZeroAlloc(t *testing.T) {
 	const runs = 20
 	full, _ := ByName("functional-full")
-	for _, corrupt := range []int{0, 300} {
-		execs := make([]*Exec, runs+1) // AllocsPerRun adds one warm-up call
-		for i := range execs {
-			execs[i] = NewExec(full, 0, 2, pt(2e9), 0)
-		}
-		next, matches := 0, 0
-		avg := testing.AllocsPerRun(runs, func() {
-			e := execs[next]
-			next++
-			e.CorruptResponses(corrupt)
-			for !e.Advance(37 * sim.Microsecond) {
-				e.SignatureMatches()
+	var warm PhaseMemo
+	for w := NewExec(full, 0, 2, pt(2e9), 0, &warm); !w.Advance(sim.Millisecond); {
+	}
+	for _, memo := range []*PhaseMemo{nil, &warm} {
+		for _, corrupt := range []int{0, 300} {
+			execs := make([]*Exec, runs+1) // AllocsPerRun adds one warm-up call
+			for i := range execs {
+				execs[i] = NewExec(full, 0, 2, pt(2e9), 0, memo)
 			}
-			if e.SignatureMatches() {
-				matches++
+			next, matches := 0, 0
+			avg := testing.AllocsPerRun(runs, func() {
+				e := execs[next]
+				next++
+				e.CorruptResponses(corrupt)
+				for !e.Advance(37 * sim.Microsecond) {
+					e.SignatureMatches()
+				}
+				if e.SignatureMatches() {
+					matches++
+				}
+			})
+			if avg != 0 {
+				t.Errorf("memo=%v corrupt=%d: %.2f allocations per routine run, want 0", memo != nil, corrupt, avg)
 			}
-		})
-		if avg != 0 {
-			t.Errorf("corrupt=%d: %.2f allocations per routine run, want 0", corrupt, avg)
+			want := 0
+			if corrupt == 0 {
+				want = runs + 1
+			}
+			if matches != want {
+				t.Errorf("memo=%v corrupt=%d: %d of %d runs matched their golden signature, want %d", memo != nil, corrupt, matches, runs+1, want)
+			}
 		}
-		want := 0
-		if corrupt == 0 {
-			want = runs + 1
+	}
+}
+
+// lockstep advances a memoized exec and a memo-less twin by dt until
+// both finish, failing when their snapshots or signature verdicts
+// differ after any step. corruptAt, when positive, injects that many
+// fault words into both before that step.
+func lockstep(t *testing.T, name string, fast, slow *Exec, dt sim.Time, corruptAt, corrupt int) {
+	t.Helper()
+	for step := 0; ; step++ {
+		if step == corruptAt {
+			fast.CorruptResponses(corrupt)
+			slow.CorruptResponses(corrupt)
 		}
-		if matches != want {
-			t.Errorf("corrupt=%d: %d of %d runs matched their golden signature, want %d", corrupt, matches, runs+1, want)
+		d1, d2 := fast.Advance(dt), slow.Advance(dt)
+		if d1 != d2 || fast.SignatureMatches() != slow.SignatureMatches() ||
+			!reflect.DeepEqual(fast.Snapshot(), slow.Snapshot()) {
+			t.Fatalf("%s step %d: memoized done=%v match=%v %+v; memo-less done=%v match=%v %+v",
+				name, step, d1, fast.SignatureMatches(), fast.Snapshot(), d2, slow.SignatureMatches(), slow.Snapshot())
+		}
+		if d1 {
+			return
+		}
+	}
+}
+
+// TestPhaseMemoMatchesLoop runs one memo through fault-free, corrupted,
+// aborted-and-resumed and segmented executions, each beside a memo-less
+// twin, so later runs hit entries earlier ones filled.
+func TestPhaseMemoMatchesLoop(t *testing.T) {
+	full, _ := ByName("functional-full")
+	quick0, _ := ByName("march-quick")
+	const dt = 23 * sim.Microsecond
+	var memo PhaseMemo
+	pair := func(r Routine, level int) (*Exec, *Exec) {
+		return NewExec(r, 1, level, pt(2e9), 0, &memo), NewExec(r, 1, level, pt(2e9), 0, nil)
+	}
+	for pass := 0; pass < 2; pass++ { // the second pass hits what the first filled
+		for _, r := range []Routine{full, quick0} {
+			for _, level := range []int{0, 3, 7} {
+				f, s := pair(r, level)
+				lockstep(t, r.Name, f, s, dt, -1, 0)
+				for _, c := range []struct{ at, words int }{{0, 1}, {0, r.Phases[0].Words + 10}, {5, 2}, {9, 1}} {
+					f, s := pair(r, level)
+					lockstep(t, r.Name+" corrupted", f, s, dt, c.at, c.words)
+				}
+			}
+		}
+	}
+	// ResumePhase aborts mid-phase, after a fault-free and after a
+	// corrupted first phase.
+	for _, corrupt := range []int{0, 4} {
+		f, s := pair(full, 2)
+		f.CorruptResponses(corrupt)
+		s.CorruptResponses(corrupt)
+		half := sim.FromSeconds(float64(full.Phases[0].Cycles+full.Phases[1].Cycles/2) / 2e9)
+		f.Advance(half)
+		s.Advance(half)
+		lockstep(t, "resumed", f.Abort(ResumePhase), s.Abort(ResumePhase), dt, -1, 0)
+	}
+	// Segment reuses the IDs parent*1000+i at every size, so one memo
+	// sees the same ID with different phase lists.
+	for _, size := range []int64{60_000, 100_000, 60_000} {
+		for i, seg := range Segment(full, size) {
+			f, s := pair(seg, 3)
+			lockstep(t, seg.Name, f, s, dt, 0, i%2)
 		}
 	}
 }

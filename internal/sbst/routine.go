@@ -187,16 +187,51 @@ type Exec struct {
 	missSA       float64
 	missDelay    float64
 	doneWords    int
-	faultWords   int // response words corrupted by an excited fault
+	faultWords   int        // response words corrupted by an excited fault
+	memo         *PhaseMemo //potlint:nosnap shared cache of pure compactions, owned by the caller; a restored exec runs without one
 }
 
-// NewExec starts a routine execution.
-func NewExec(r Routine, core, level int, pt tech.OperatingPoint, now sim.Time) *Exec {
+// NewExec starts a routine execution. memo, when not nil, serves the
+// fault-free phase compactions; nil compacts every word.
+func NewExec(r Routine, core, level int, pt tech.OperatingPoint, now sim.Time, memo *PhaseMemo) *Exec {
 	return &Exec{
 		Routine: r, Core: core, Level: level, Point: pt, Started: now,
 		misr: *NewMISR(), golden: *NewMISR(), gen: *NewResponseGenerator(r.ID, 0, level),
-		missSA: 1, missDelay: 1,
+		missSA: 1, missDelay: 1, memo: memo,
 	}
+}
+
+// PhaseMemo remembers fault-free phase compactions. A phase that ends
+// with no pending fault word and the signature equal to the golden one
+// absorbs the same words into both registers, so their common end state
+// and the generator's are a pure function of the key: both start states
+// and the word count. The zero value is ready; a memo serves one
+// simulation and is not safe for concurrent use. It holds one entry per
+// (routine, level, phase) run fault-free, as those fix the key.
+type PhaseMemo struct {
+	ends map[phaseStart][2]uint32 // register and generator end states
+}
+
+type phaseStart struct {
+	golden, gen uint32
+	words       int
+}
+
+// compact absorbs words fault-free responses from gen into sig and
+// returns both end states, from the memo when it holds them.
+func (m *PhaseMemo) compact(sig MISR, gen ResponseGenerator, words int) (MISR, ResponseGenerator) {
+	k := phaseStart{golden: sig.state, gen: gen.state, words: words}
+	if end, ok := m.ends[k]; ok {
+		return MISR{state: end[0]}, ResponseGenerator{state: end[1]}
+	}
+	for w := 0; w < words; w++ {
+		sig.Absorb(gen.Next())
+	}
+	if m.ends == nil {
+		m.ends = make(map[phaseStart][2]uint32)
+	}
+	m.ends[k] = [2]uint32{sig.state, gen.state}
+	return sig, gen
 }
 
 // Done reports whether every phase has completed.
@@ -271,14 +306,19 @@ func (e *Exec) Advance(dt sim.Time) bool {
 
 // finishPhase compacts the phase's responses and accrues coverage.
 func (e *Exec) finishPhase(ph *Phase) {
-	for w := 0; w < ph.Words; w++ {
-		word := e.gen.Next()
-		e.golden.Absorb(word)
-		if e.faultWords > 0 {
-			word ^= 0x5A5A5A5A // fault-perturbed response
-			e.faultWords--
+	if e.memo != nil && e.faultWords == 0 && e.misr == e.golden {
+		e.golden, e.gen = e.memo.compact(e.golden, e.gen, ph.Words)
+		e.misr = e.golden
+	} else {
+		for w := 0; w < ph.Words; w++ {
+			word := e.gen.Next()
+			e.golden.Absorb(word)
+			if e.faultWords > 0 {
+				word ^= 0x5A5A5A5A // fault-perturbed response
+				e.faultWords--
+			}
+			e.misr.Absorb(word)
 		}
-		e.misr.Absorb(word)
 	}
 	e.doneWords += ph.Words
 	e.missSA *= 1 - clamp01(ph.CoverageSA)

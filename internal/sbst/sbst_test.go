@@ -150,7 +150,7 @@ func pt(fHz float64) tech.OperatingPoint {
 
 func TestExecRunsToCompletion(t *testing.T) {
 	r, _ := ByName("march-quick")
-	e := NewExec(r, 3, 7, pt(2e9), 0)
+	e := NewExec(r, 3, 7, pt(2e9), 0, nil)
 	if e.Done() {
 		t.Fatal("fresh exec reports done")
 	}
@@ -180,7 +180,7 @@ func TestExecRunsToCompletion(t *testing.T) {
 
 func TestExecSignatureMismatchOnFault(t *testing.T) {
 	r, _ := ByName("march-quick")
-	e := NewExec(r, 0, 0, pt(2e9), 0)
+	e := NewExec(r, 0, 0, pt(2e9), 0, nil)
 	e.CorruptResponses(1)
 	e.Advance(r.Duration(2e9) * 2)
 	if !e.Done() {
@@ -193,7 +193,7 @@ func TestExecSignatureMismatchOnFault(t *testing.T) {
 
 func TestExecAbortDiscard(t *testing.T) {
 	r, _ := ByName("functional-full")
-	e := NewExec(r, 0, 0, pt(2e9), 0)
+	e := NewExec(r, 0, 0, pt(2e9), 0, nil)
 	e.Advance(r.Duration(2e9) / 3)
 	if got := e.Abort(DiscardProgress); got != nil {
 		t.Error("DiscardProgress should return nil")
@@ -203,7 +203,7 @@ func TestExecAbortDiscard(t *testing.T) {
 func TestExecAbortResumePhase(t *testing.T) {
 	r, _ := ByName("functional-full")
 	fullDur := r.Duration(2e9)
-	e := NewExec(r, 0, 0, pt(2e9), 0)
+	e := NewExec(r, 0, 0, pt(2e9), 0, nil)
 	// Run past the first phase boundary and into the second phase.
 	phase0 := sim.FromSeconds(float64(r.Phases[0].Cycles)/2e9) + 10*sim.Microsecond
 	e.Advance(phase0)
@@ -233,7 +233,7 @@ func TestExecZeroFrequency(t *testing.T) {
 	if r.Duration(0) != math.MaxInt64 {
 		t.Error("zero frequency should yield infinite duration")
 	}
-	e := NewExec(r, 0, 0, pt(0), 0)
+	e := NewExec(r, 0, 0, pt(0), 0, nil)
 	if e.Advance(sim.Second) {
 		t.Error("test at zero frequency should make no progress")
 	}
@@ -241,7 +241,7 @@ func TestExecZeroFrequency(t *testing.T) {
 
 func TestExecProgressMonotone(t *testing.T) {
 	r, _ := ByName("functional-full")
-	e := NewExec(r, 0, 2, pt(1e9), 0)
+	e := NewExec(r, 0, 2, pt(1e9), 0, nil)
 	prev := -1.0
 	for i := 0; i < 50 && !e.Done(); i++ {
 		e.Advance(20 * sim.Microsecond)
@@ -340,7 +340,7 @@ func TestSegmentLibraryFlattens(t *testing.T) {
 func TestSegmentedExecsMatchGoldenSignatures(t *testing.T) {
 	full, _ := ByName("path-delay")
 	for _, seg := range Segment(full, 60_000) {
-		e := NewExec(seg, 0, 3, pt(2e9), 0)
+		e := NewExec(seg, 0, 3, pt(2e9), 0, nil)
 		e.Advance(seg.Duration(2e9) * 2)
 		if !e.Done() {
 			t.Fatalf("segment %s did not finish", seg.Name)

@@ -14,7 +14,7 @@ import (
 func TestExecSnapshotMidPhaseRoundTrip(t *testing.T) {
 	rtn := Library()[1] // functional-full: 5 phases
 	pt := tech.Default().OperatingPoints(4)[2]
-	e := NewExec(rtn, 3, 2, pt, 5*sim.Millisecond)
+	e := NewExec(rtn, 3, 2, pt, 5*sim.Millisecond, nil)
 	e.CorruptResponses(2) // pending fault perturbation must survive too
 	// Advance partway into the routine (not on a phase boundary).
 	if done := e.Advance(40 * sim.Microsecond); done {

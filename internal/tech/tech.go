@@ -120,8 +120,9 @@ func (n Node) FreqAt(v float64) float64 {
 }
 
 // DynamicPower returns core dynamic power in watts at supply voltage v,
-// frequency f (hertz) and switching activity in [0,1].
-func (n Node) DynamicPower(v, f, activity float64) float64 {
+// frequency f (hertz) and switching activity in [0,1]. It and the leakage
+// factors take a pointer, so per-epoch callers copy no node.
+func (n *Node) DynamicPower(v, f, activity float64) float64 {
 	if activity < 0 {
 		activity = 0
 	}
@@ -134,7 +135,19 @@ func (n Node) LeakagePower(v, tK float64) float64 {
 	if v <= 0 {
 		return 0
 	}
-	return v * n.ILeak0 * math.Exp(n.KV*(v-n.VNom)) * math.Exp(n.KT*(tK-n.T0))
+	return n.LeakageVoltageFactor(v) * n.LeakageTempFactor(tK)
+}
+
+// LeakageVoltageFactor is the temperature-independent part of
+// LeakagePower in watts, for callers at fixed voltages to evaluate once.
+func (n *Node) LeakageVoltageFactor(v float64) float64 {
+	return v * n.ILeak0 * math.Exp(n.KV*(v-n.VNom))
+}
+
+// LeakageTempFactor is the temperature part of LeakagePower,
+// exp(KT*(tK-T0)), dimensionless.
+func (n *Node) LeakageTempFactor(tK float64) float64 {
+	return math.Exp(n.KT * (tK - n.T0))
 }
 
 // PeakCorePower is the per-core power at (VNom, FMax, activity=1, T0):
