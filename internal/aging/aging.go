@@ -72,8 +72,22 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. Every field must be finite: each
+// range check below is an ordered comparison, which a NaN passes.
 func (p Params) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"ACoeff", p.ACoeff}, {"Exp", p.Exp}, {"FailVth", p.FailVth},
+		{"GammaV", p.GammaV}, {"VRef", p.VRef}, {"EaEv", p.EaEv}, {"TRef", p.TRef},
+		{"NEm", p.NEm}, {"MTTFRefHours", p.MTTFRefHours},
+		{"AccelFactor", p.AccelFactor}, {"RecoveryFrac", p.RecoveryFrac},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("aging: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	switch {
 	case p.ACoeff <= 0 || p.Exp <= 0 || p.Exp >= 1:
 		return fmt.Errorf("aging: need ACoeff>0 and Exp in (0,1)")
@@ -108,11 +122,16 @@ type Tracker struct {
 	params Params //potlint:nosnap configuration, rebuilt by the caller
 	cores  []coreAging
 	lastAt sim.Time
+	// advances counts Advance and Restore calls, the only writers of
+	// effStressSec: a core whose stress was computed at another count
+	// holds a stale value.
+	advances uint64 //potlint:nosnap staleness clock; Restore counts as one, so every restored core reads stale
 }
 
 type coreAging struct {
 	effStressSec float64 // acceleration-weighted stress seconds
-	stress       float64 //potlint:nosnap derived: Stress of effStressSec, recomputed by Advance and Restore
+	stress       float64 //potlint:nosnap derived: Stress of effStressSec, computed on the first read after Advance or Restore
+	stressAt     uint64  //potlint:nosnap the Tracker.advances count stress was computed at; Restore zeroes it
 	utilEwma     float64 // smoothed utilization (the "utilization metric")
 	// volt holds exp(GammaV*(v-VRef)) at the last positive voltage v the
 	// core ran at: a core keeps one DVFS level for many epochs.
@@ -147,6 +166,7 @@ func (t *Tracker) Advance(now sim.Time, states []CoreState) error {
 		return fmt.Errorf("aging: time went backwards %v -> %v", t.lastAt, now)
 	}
 	t.lastAt = now
+	t.advances++ // every core's stress is stale from here on
 	for i, st := range states {
 		c := &t.cores[i]
 		// An idle core adds dt·AccelFactor·0·af = +0 for any finite af,
@@ -168,7 +188,6 @@ func (t *Tracker) Advance(now sim.Time, states []CoreState) error {
 				c.effStressSec = 0
 			}
 		}
-		t.updateStress(i)
 		c.utilEwma += utilEwmaAlpha * (st.Utilization - c.utilEwma)
 	}
 	return nil
@@ -185,7 +204,7 @@ func (t *Tracker) accel(c *coreAging, st CoreState) float64 {
 	if st.Voltage != c.volt.v {
 		c.volt.v, c.volt.factor = st.Voltage, math.Exp(p.GammaV*(st.Voltage-p.VRef))
 	}
-	at := math.Exp(p.EaEv / boltzmannEvK * (1/p.TRef - 1/math.Max(st.TempK, 1)))
+	at := math.Exp(p.EaEv / boltzmannEvK * (1/p.TRef - 1/max(st.TempK, 1)))
 	return c.volt.factor * at
 }
 
@@ -210,16 +229,22 @@ func pow(x, y float64) float64 {
 }
 
 // Stress returns core id's wear indicator in [0,1]: DeltaVth relative to
-// the end-of-life drift. It changes only with effective stress, so
-// Advance and Restore compute it and Stress reads the stored value.
-func (t *Tracker) Stress(id int) float64 { return t.cores[id].stress }
-
-// updateStress recomputes core id's wear indicator; Advance and Restore,
-// the only writers of effStressSec, call it.
-func (t *Tracker) updateStress(id int) {
-	s := t.DeltaVth(id) / t.params.FailVth
-	t.cores[id].stress = math.Min(math.Max(s, 0), 1)
+// the end-of-life drift. It is a pure function of the effective stress,
+// which only Advance and Restore write, so it is computed on the first
+// read after either and stored for later reads. That store makes Stress
+// unsafe for concurrent use, like Advance.
+func (t *Tracker) Stress(id int) float64 {
+	c := &t.cores[id]
+	if c.stressAt != t.advances {
+		s := t.DeltaVth(id) / t.params.FailVth
+		c.stress, c.stressAt = clamp01(s), t.advances
+	}
+	return c.stress
 }
+
+// EffStressSec returns core id's acceleration-weighted stress seconds,
+// the state DeltaVth and Stress derive from.
+func (t *Tracker) EffStressSec(id int) float64 { return t.cores[id].effStressSec }
 
 // Utilization returns the smoothed utilization metric of core id.
 func (t *Tracker) Utilization(id int) float64 { return t.cores[id].utilEwma }
@@ -263,4 +288,9 @@ func (m CriticalityModel) Criticality(sinceLastTest sim.Time, stress, util float
 	return float64(sinceLastTest) / float64(ti)
 }
 
-func clamp01(x float64) float64 { return math.Min(1, math.Max(0, x)) }
+// clamp01 clamps x to [0,1] with the builtin min and max. They match
+// math.Min and math.Max bit for bit, ±0 included, except on a (±Inf,
+// NaN) pair, where math returns the infinity and the builtins NaN; here,
+// as in accel's max(T, 1), one operand is a finite constant, so no such
+// pair occurs.
+func clamp01(x float64) float64 { return min(1, max(0, x)) }

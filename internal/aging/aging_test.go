@@ -2,6 +2,8 @@ package aging
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +37,27 @@ func TestParamsValidate(t *testing.T) {
 	bad.AccelFactor = 0
 	if bad.Validate() == nil {
 		t.Error("zero AccelFactor accepted")
+	}
+}
+
+// TestParamsValidateRejectsNonFinite sets each field of Params in turn
+// to NaN, +Inf and -Inf. Every range check is an ordered comparison,
+// which a NaN passes, and GammaV and VRef have no range at all, so
+// finiteness is checked on its own; Stress's clamp relies on it.
+func TestParamsValidateRejectsNonFinite(t *testing.T) {
+	typ := reflect.TypeOf(Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := DefaultParams()
+			reflect.ValueOf(&p).Elem().Field(i).SetFloat(v)
+			err := p.Validate()
+			if err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			} else if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v: error %q does not name the field", name, v, err)
+			}
+		}
 	}
 }
 

@@ -92,7 +92,11 @@ func TestPowBitEqualsMathPow(t *testing.T) {
 
 // trackerSequence runs the tracker and the reference over one random
 // sequence of core states drawn from seed, failing at the first bit
-// that differs.
+// that differs. Stress is computed on the first read after an Advance
+// or Restore, so it is compared through Stress on a random subset of
+// steps and cores, some read twice, with runs of steps that read
+// nothing; midway the tracker is swapped for one restored from its
+// snapshot.
 func trackerSequence(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	p := DefaultParams()
@@ -108,38 +112,88 @@ func trackerSequence(t *testing.T, seed int64) {
 	volts := []float64{0, 0.35, 0.5, 0.65, 0.8, 1.1} // gated, then table levels
 	states := make([]CoreState, n)
 	now := sim.Time(0)
-	for step := 0; step < 200; step++ {
+	const steps = 200
+	restoreAt, quiet := rng.Intn(steps), 0
+	for step := 0; step < steps; step++ {
 		now += sim.Time(rng.Intn(3)) * 100 * sim.Microsecond // dt 0 included
-		for i := range states {
-			st := &states[i]
-			if rng.Intn(4) == 0 { // a level change
-				st.Voltage = volts[rng.Intn(len(volts))]
-			}
-			st.Utilization = []float64{0, 0, 1, 1, 0.3}[rng.Intn(5)]
-			st.TempK = 300 + 80*rng.Float64()
-			switch rng.Intn(40) {
-			case 0:
-				st.TempK = math.NaN()
-			case 1:
-				st.TempK = 0 // below max(T, 1)
-			case 2:
-				st.TempK = math.Inf(1)
-			}
-		}
+		randomStates(rng, states, volts)
 		if err := tr.Advance(now, states); err != nil {
 			t.Fatal(err)
 		}
 		ref.advance(now, states)
+		if step == restoreAt {
+			tr = restoredCopy(t, rng, tr, now, volts)
+		}
+		if quiet > 0 {
+			quiet--
+		} else if rng.Intn(10) == 0 {
+			quiet = 1 + rng.Intn(10) // a run of steps that read no stress
+		}
 		for i := range states {
-			c := tr.cores[i]
-			if !same(c.effStressSec, ref.eff[i]) || !same(c.stress, ref.stress[i]) ||
-				!same(c.utilEwma, ref.util[i]) || !same(tr.DeltaVth(i), ref.deltaVth(i)) {
-				t.Fatalf("seed %d step %d core %d (Exp %v, state %+v): tracker eff=%v stress=%v util=%v dvth=%v, reference eff=%v stress=%v util=%v dvth=%v",
-					seed, step, i, p.Exp, states[i], c.effStressSec, c.stress, c.utilEwma, tr.DeltaVth(i),
-					ref.eff[i], ref.stress[i], ref.util[i], ref.deltaVth(i))
+			reads := rng.Intn(3)
+			if quiet > 0 {
+				reads = 0
+			}
+			for r := 0; r < reads; r++ {
+				if got := tr.Stress(i); !same(got, ref.stress[i]) {
+					t.Fatalf("seed %d step %d core %d read %d (Exp %v, restored at %d): Stress %v, reference %v",
+						seed, step, i, r, p.Exp, restoreAt, got, ref.stress[i])
+				}
+			}
+			if !same(tr.EffStressSec(i), ref.eff[i]) || !same(tr.Utilization(i), ref.util[i]) ||
+				!same(tr.DeltaVth(i), ref.deltaVth(i)) {
+				t.Fatalf("seed %d step %d core %d (Exp %v, state %+v): tracker eff=%v util=%v dvth=%v, reference eff=%v util=%v dvth=%v",
+					seed, step, i, p.Exp, states[i], tr.EffStressSec(i), tr.Utilization(i), tr.DeltaVth(i),
+					ref.eff[i], ref.util[i], ref.deltaVth(i))
 			}
 		}
 	}
+}
+
+// randomStates draws one interval's core states, keeping each core's
+// voltage with probability 3/4 so the voltage memo both hits and misses.
+func randomStates(rng *rand.Rand, states []CoreState, volts []float64) {
+	for i := range states {
+		st := &states[i]
+		if rng.Intn(4) == 0 { // a level change
+			st.Voltage = volts[rng.Intn(len(volts))]
+		}
+		st.Utilization = []float64{0, 0, 1, 1, 0.3}[rng.Intn(5)]
+		st.TempK = 300 + 80*rng.Float64()
+		switch rng.Intn(40) {
+		case 0:
+			st.TempK = math.NaN()
+		case 1:
+			st.TempK = 0 // below max(T, 1)
+		case 2:
+			st.TempK = math.Inf(1)
+		}
+	}
+}
+
+// restoredCopy restores tr's snapshot into a new tracker that first
+// advanced up to twice over unrelated states and read every stress, so
+// its cores hold stress values computed at its own latest Advance.
+func restoredCopy(t *testing.T, rng *rand.Rand, tr *Tracker, now sim.Time, volts []float64) *Tracker {
+	t.Helper()
+	re, err := NewTracker(len(tr.cores), tr.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := make([]CoreState, len(tr.cores))
+	for k := rng.Intn(3); k > 0; k-- {
+		randomStates(rng, states, volts)
+		if err := re.Advance(now, states); err != nil {
+			t.Fatal(err)
+		}
+		for i := range states {
+			re.Stress(i)
+		}
+	}
+	if err := re.Restore(tr.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return re
 }
 
 func TestAdvanceBitEqualsReference(t *testing.T) {
@@ -158,4 +212,52 @@ func FuzzAgingMatchesReference(f *testing.F) {
 		checkPow(t, x)
 		trackerSequence(t, seed)
 	})
+}
+
+// clampInputs are the special values the builtin clamps must agree with
+// math.Min and math.Max on.
+var clampInputs = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1030,
+	1, math.Nextafter(1, 0), math.Nextafter(1, 2), -1, math.MaxFloat64, -math.MaxFloat64,
+}
+
+// checkClamps compares the aging clamps at x with their math.Min and
+// math.Max forms: clamp01, which TargetInterval and Stress use (Stress
+// clamped as math.Min(math.Max(s, 0), 1) before), and accel's max(T, 1).
+func checkClamps(t *testing.T, x float64) {
+	t.Helper()
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"clamp01", clamp01(x), math.Min(1, math.Max(0, x))},
+		{"clamp01 as Stress's clamp", clamp01(x), math.Min(math.Max(x, 0), 1)},
+		{"max(T, 1)", max(x, 1), math.Max(x, 1)},
+	} {
+		if !same(c.got, c.want) {
+			t.Fatalf("%s at %v (%#016x): builtin %v (%#016x), math %v (%#016x)",
+				c.name, x, math.Float64bits(x), c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+		}
+	}
+}
+
+// TestBuiltinClampsBitEqualMath pins the builtin min and max in aging's
+// clamps to the math functions they replaced. The two differ on one
+// pair only: math.Max(±Inf, NaN) and math.Min(±Inf, NaN) return the
+// infinity, the builtins NaN. Every clamp in aging has a finite
+// constant operand (0, 1), so no site can pass that pair.
+func TestBuiltinClampsBitEqualMath(t *testing.T) {
+	for _, x := range clampInputs {
+		checkClamps(t, x)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200_000; i++ {
+		checkClamps(t, math.Float64frombits(rng.Uint64())) // every float64, NaNs and both signs included
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	if !math.IsInf(math.Max(inf, nan), 1) || !math.IsNaN(max(inf, nan)) ||
+		!math.IsInf(math.Min(-inf, nan), -1) || !math.IsNaN(min(-inf, nan)) {
+		t.Error("the (±Inf, NaN) divergence documented above no longer holds; revisit the clamps' comment")
+	}
 }

@@ -42,8 +42,8 @@ func (t *Tracker) Restore(st TrackerState) error {
 			effStressSec: c.EffStressSec,
 			utilEwma:     c.UtilEwma,
 		}
-		t.updateStress(i)
 	}
 	t.lastAt = st.LastAt
+	t.advances++ // the rebuilt cores' stressAt is 0, now stale
 	return nil
 }

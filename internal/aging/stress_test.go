@@ -14,8 +14,9 @@ func exprStress(t *Tracker, id int) float64 {
 	return math.Min(math.Max(s, 0), 1)
 }
 
-// Stress reads a value stored by Advance and Restore; it must be
-// bit-equal to the expression at every point a caller can observe.
+// Stress computes its value on the first read after Advance or Restore
+// and stores it; it must be bit-equal to the expression at every point
+// a caller can observe.
 func TestStressBitEqualsExpression(t *testing.T) {
 	states := []CoreState{
 		{Utilization: 1, Voltage: 1.0, TempK: 365},

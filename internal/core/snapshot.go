@@ -159,6 +159,15 @@ func (s *System) Snapshot() (*Snapshot, error) {
 		Guard:       s.guard.Snapshot(),
 		Grid:        s.grid.Snapshot(),
 	}
+	// refreshGridView computes criticality for free cores only. Give the
+	// others the value it would have computed at this epoch: lastTest,
+	// stress and utilization change only inside advance, which ran before
+	// it, so the inputs are the same.
+	for id := range snap.Grid.Cores {
+		if cv := &snap.Grid.Cores[id]; !cv.Free {
+			cv.Criticality = s.criticality(id, s.lastEpochAt)
+		}
+	}
 	if s.gen != nil {
 		st := s.gen.Snapshot()
 		snap.Source = &st
@@ -427,7 +436,7 @@ func (s *System) Restore(snap *Snapshot) error {
 		if cs.State < int(coreFree) || cs.State > int(coreDead) {
 			return fmt.Errorf("core: snapshot core %d has unknown state %d", id, cs.State)
 		}
-		cr.state = coreState(cs.State)
+		s.setState(cr, coreState(cs.State))
 		cr.level = cs.Level
 		cr.testStallUntil = cs.TestStallUntil
 		if cs.App >= 0 {

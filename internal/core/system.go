@@ -37,6 +37,10 @@ const (
 	coreDead
 )
 
+// busy reports whether a core in this state loads the interconnect:
+// netUtilization counts running and testing cores.
+func (st coreState) busy() bool { return st == coreRunning || st == coreTesting }
+
 // testGuardBand reserves a slice of the TDP that test admission may not
 // touch, absorbing workload power steps between control epochs.
 const testGuardBand = 0.05
@@ -156,6 +160,9 @@ type System struct {
 
 	cores   []coreRuntime
 	pending []*appRun // arrived, waiting to be mapped
+	// busyCores counts the cores whose state is busy; setState, the only
+	// writer of a core's state, keeps it.
+	busyCores int //potlint:nosnap derived from the cores' states; Restore sets them through setState
 
 	// Per-epoch scratch buffers, sized once at assembly so the
 	// steady-state control loop allocates nothing: core snapshots handed
@@ -515,10 +522,11 @@ func (s *System) epoch(now sim.Time) error {
 	if dt == 0 {
 		return nil
 	}
-	if err := s.advance(now, dt); err != nil {
+	chip, err := s.advance(now, dt)
+	if err != nil {
 		return err
 	}
-	if err := s.checkInvariants(now); err != nil {
+	if err := s.checkInvariants(now, chip); err != nil {
 		return err
 	}
 	s.lastEpochAt = now
@@ -527,7 +535,7 @@ func (s *System) epoch(now sim.Time) error {
 	// 1. Power control: PID on measured chip power. With class-aware
 	// DVFS, the throttle is shaped per criticality class so best-effort
 	// work absorbs the cap first and hard real-time demand is protected.
-	throttle := s.capper.Update(s.acct.ChipPower(), dt.Seconds())
+	throttle := s.capper.Update(chip, dt.Seconds())
 	s.ceiling = s.capper.CeilingLevel(s.table)
 	for _, class := range classOrder {
 		u := throttle
@@ -565,7 +573,7 @@ func (s *System) epoch(now sim.Time) error {
 	}
 
 	// 3. Test scheduling into the remaining power slack.
-	s.planTests(now)
+	s.planTests(now, chip)
 
 	// 4. Fault arrivals for the coming epoch. Decommissioned cores are
 	// power-gated: no supply voltage, no new defects.
@@ -586,18 +594,37 @@ func (s *System) epoch(now sim.Time) error {
 }
 
 // refreshGridView mirrors occupancy plus the criticality/utilization
-// signals the TUM mapper consumes.
+// signals the TUM mapper consumes. TUM reads criticality only inside
+// the regions growRegion grows, which hold free cores alone, so a busy
+// core's criticality is left as it was; Snapshot fills it in.
 func (s *System) refreshGridView(now sim.Time) {
 	for id := range s.cores {
 		cv := &s.grid.Cores[id]
 		cv.Free = s.cores[id].state == coreFree || s.cores[id].state == coreTesting
 		cv.Utilization = s.ager.Utilization(id)
-		if s.pots != nil {
-			cv.Criticality = s.pots.Criticality(id, now, s.ager.Stress(id), s.ager.Utilization(id))
-		} else {
-			cv.Criticality = 0
+		if cv.Free {
+			cv.Criticality = s.criticality(id, now)
 		}
 	}
+}
+
+// criticality is core id's test criticality at now, 0 under NoTest.
+func (s *System) criticality(id int, now sim.Time) float64 {
+	if s.pots == nil {
+		return 0
+	}
+	return s.pots.Criticality(id, now, s.ager.Stress(id), s.ager.Utilization(id))
+}
+
+// setState moves a core to state st, keeping the busy count.
+func (s *System) setState(cr *coreRuntime, st coreState) {
+	if cr.state.busy() {
+		s.busyCores--
+	}
+	if st.busy() {
+		s.busyCores++
+	}
+	cr.state = st
 }
 
 // place claims cores for an application, aborting any in-flight tests on
@@ -629,7 +656,7 @@ func (s *System) place(app *appRun, assign mapping.Assignment, now sim.Time) {
 		if cr.state == coreTesting {
 			s.abortTest(coreID, now)
 		}
-		cr.state = coreReserved
+		s.setState(cr, coreReserved)
 		cr.task = tr
 		s.grid.Cores[coreID].Free = false
 	}
@@ -645,30 +672,34 @@ func (s *System) abortTest(coreID int, now sim.Time) {
 		cr.suspended = resumed // ResumePhase: completed phases are kept
 	}
 	cr.test = nil
-	cr.state = coreFree
+	s.setState(cr, coreFree)
 	s.policy.OnTestAborted(coreID, now)
 	s.events.Record(eventlog.Event{
 		At: now, Kind: eventlog.TestAborted, Core: coreID, App: -1,
 	})
 }
 
-// planTests asks the policy for launches and starts the executions.
-func (s *System) planTests(now sim.Time) {
+// planTests asks the policy for launches and starts the executions;
+// chipW is the chip power this epoch's advance summed.
+func (s *System) planTests(now sim.Time, chipW float64) {
 	snaps := s.snapScratch
 	for id := range s.cores {
+		idle := s.cores[id].state == coreFree
 		snaps[id] = scheduler.CoreSnapshot{
 			ID:      id,
-			Idle:    s.cores[id].state == coreFree,
+			Idle:    idle,
 			Testing: s.cores[id].state == coreTesting,
-			Stress:  s.ager.Stress(id),
 			Util:    s.ager.Utilization(id),
 			TempK:   s.therm.Temperature(id),
+		}
+		if idle { // the policies read stress only for idle cores
+			snaps[id].Stress = s.ager.Stress(id)
 		}
 	}
 	// Admit tests against a guarded budget and the FULL chip power
 	// (including tests already in flight), so consecutive epochs cannot
 	// stack admissions past the cap.
-	slack := s.budget.TDP*(1-testGuardBand) - s.acct.ChipPower()
+	slack := s.budget.TDP*(1-testGuardBand) - chipW
 	if slack < 0 {
 		slack = 0
 	}
@@ -682,14 +713,14 @@ func (s *System) planTests(now sim.Time) {
 			// the core, so no fresh delivery is needed.
 			cr.test = cr.suspended
 			cr.suspended = nil
-			cr.state = coreTesting
+			s.setState(cr, coreTesting)
 			cr.level = cr.test.Level
 			cr.testStallUntil = now
 			continue
 		}
 		pt := s.table.Point(d.Level)
 		cr.test = sbst.NewExec(d.Routine, d.Core, d.Level, pt, now, &s.phaseMemo)
-		cr.state = coreTesting
+		s.setState(cr, coreTesting)
 		cr.level = d.Level
 		// The test program is fetched from the memory controller at the
 		// mesh corner; the routine stalls until it arrives.
@@ -722,13 +753,7 @@ func (s *System) planTests(now sim.Time) {
 
 // netUtilization estimates interconnect load from core occupancy.
 func (s *System) netUtilization() float64 {
-	busy := 0
-	for id := range s.cores {
-		if s.cores[id].state == coreRunning || s.cores[id].state == coreTesting {
-			busy++
-		}
-	}
-	return 0.5 * float64(busy) / float64(len(s.cores))
+	return 0.5 * float64(s.busyCores) / float64(len(s.cores))
 }
 
 // cycleOf converts simulated time to NoC router cycles.
@@ -783,10 +808,11 @@ func (s *System) pumpFlitNet(now sim.Time) {
 	s.flitNet.ReleaseDelivered(len(delivered))
 }
 
-// advance integrates tasks, tests, power, heat and aging over (now-dt,now].
+// advance integrates tasks, tests, power, heat and aging over (now-dt,now]
+// and returns the chip power it leaves in effect.
 //
 //potlint:allocfree
-func (s *System) advance(now sim.Time, dt sim.Time) error {
+func (s *System) advance(now sim.Time, dt sim.Time) (float64, error) {
 	s.pumpFlitNet(now)
 	// powerVec and both accountant slots are written for every core
 	// below, zeros for a decommissioned core; the aging states are not —
@@ -805,7 +831,7 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 		case coreReserved:
 			tr := cr.task
 			if tr.depsLeft == 0 && tr.msgsInFlight == 0 && now >= tr.readyAt {
-				cr.state = coreRunning
+				s.setState(cr, coreRunning)
 				tr.started = true
 				s.beginTask(tr)
 			}
@@ -893,26 +919,29 @@ func (s *System) advance(now sim.Time, dt sim.Time) error {
 		// same corruption class as a backwards epoch; route it through
 		// the guard so the policy decides panic/error/continue.
 		if gerr := s.guard.Violatef("clock.monotonic", "%v", err); gerr != nil {
-			return gerr
+			return 0, gerr
 		}
 	}
-	s.budget.Check(s.acct.ChipPower())
+	// Per-core power changes only in the loop above, so this one sum
+	// serves the budget, the guard, the capper and test admission.
+	chip := s.acct.ChipPower()
+	s.budget.Check(chip)
 	if err := s.therm.Advance(now, powerVec); err != nil {
-		return err
+		return 0, err
 	}
-	return s.ager.Advance(now, states)
+	return chip, s.ager.Advance(now, states)
 }
 
 // checkInvariants evaluates the runtime guard registry after an epoch's
 // integration: chip power finite and below the runaway ceiling, core
 // temperatures inside physical bounds, aging metrics finite, and mapper
-// occupancy consistent with the scheduler/test state. Under the Error
-// policy the first violation aborts the epoch (and therefore the run);
-// under LogAndContinue the violations are tallied into the report.
-func (s *System) checkInvariants(now sim.Time) error {
+// occupancy consistent with the scheduler/test state and the busy count.
+// Under the Error policy the first violation aborts the epoch (and
+// therefore the run); under LogAndContinue the violations are tallied
+// into the report.
+func (s *System) checkInvariants(now sim.Time, chip float64) error {
 	// Each condition is tested inline and Violatef runs only when it
 	// fails, so the happy path never boxes the format arguments.
-	chip := s.acct.ChipPower()
 	if !(!math.IsNaN(chip) && !math.IsInf(chip, 0) && chip >= 0) {
 		if err := s.guard.Violatef("power.finite",
 			"chip power %v W at t=%v", chip, now); err != nil {
@@ -933,19 +962,29 @@ func (s *System) checkInvariants(now sim.Time) error {
 			return err
 		}
 	}
+	busy := 0
 	for id := range s.cores {
-		stress, util := s.ager.Stress(id), s.ager.Utilization(id)
-		if !(!math.IsNaN(stress) && !math.IsInf(stress, 0) && stress >= 0 &&
-			!math.IsNaN(util) && !math.IsInf(util, 0) && util >= 0) {
+		// With finite aging parameters Stress clamps to [0,1] and is NaN
+		// exactly when the effective stress is, so testing that skips
+		// computing every core's stress.
+		util := s.ager.Utilization(id)
+		if math.IsNaN(s.ager.EffStressSec(id)) || !(!math.IsNaN(util) && !math.IsInf(util, 0) && util >= 0) {
 			if err := s.guard.Violatef("metrics.finite",
 				"core %d aging metrics stress=%v util=%v at t=%v",
-				id, stress, util, now); err != nil {
+				id, s.ager.Stress(id), util, now); err != nil {
 				return err
 			}
 		}
 		if err := s.checkOccupancy(id, now); err != nil {
 			return err
 		}
+		if s.cores[id].state.busy() {
+			busy++
+		}
+	}
+	if busy != s.busyCores {
+		return s.guard.Violatef("mapper.occupancy",
+			"busy count %d, but %d cores run or test at t=%v", s.busyCores, busy, now)
 	}
 	return nil
 }
@@ -1090,7 +1129,7 @@ func (s *System) completeTask(tr *taskRun, now sim.Time) {
 	}
 
 	cr := &s.cores[tr.core]
-	cr.state = coreFree
+	s.setState(cr, coreFree)
 	cr.task = nil
 	s.grid.Cores[tr.core].Free = true
 
@@ -1111,7 +1150,7 @@ func (s *System) completeTask(tr *taskRun, now sim.Time) {
 func (s *System) completeTest(coreID int, ex *sbst.Exec, now sim.Time) {
 	cr := &s.cores[coreID]
 	cr.test = nil
-	cr.state = coreFree
+	s.setState(cr, coreFree)
 	s.policy.OnTestComplete(coreID, ex.Level, now)
 	if s.events.Enabled() {
 		s.events.Record(eventlog.Event{
@@ -1148,7 +1187,7 @@ func (s *System) completeTest(coreID int, ex *sbst.Exec, now sim.Time) {
 // recovery action of the journal extension).
 func (s *System) decommission(coreID int, now sim.Time) {
 	cr := &s.cores[coreID]
-	cr.state = coreDead
+	s.setState(cr, coreDead)
 	cr.test = nil
 	cr.suspended = nil
 	cr.task = nil

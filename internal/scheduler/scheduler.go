@@ -23,9 +23,9 @@ import (
 // CoreSnapshot is the per-core state the scheduler sees at an epoch.
 type CoreSnapshot struct {
 	ID      int
-	Idle    bool // free for testing: no task and no reservation
-	Testing bool // an SBST routine is already in flight here
-	Stress  float64
+	Idle    bool    // free for testing: no task and no reservation
+	Testing bool    // an SBST routine is already in flight here
+	Stress  float64 // aging stress; policies read it for Idle cores only, so the epoch loop fills it for those alone
 	Util    float64
 	TempK   float64
 }
